@@ -54,7 +54,7 @@ from .report import (
     table_within_budget,
 )
 from .verdict import CheckResult
-from .walsh import fwht_last_axis, spectrum_rows, zero_column
+from .walsh import _p2_dtype, fwht_last_axis, spectrum_rows, zero_column
 
 _FILE_TAGS = ("platdto1", "integrality", "ab-walsh", "apn-structure", "diff-two-valued")
 _ARG_TAGS = ("gold", "mm1", "mm2")
@@ -370,7 +370,8 @@ def _cmd_check_theorem(args: argparse.Namespace) -> int:
 
 def _bench_once(kind: str, size: int, rng: np.random.Generator) -> float:
     if kind == "wht":
-        arr = (1 - 2 * rng.integers(0, 2, size=1 << size)).astype(np.int64)
+        # the dtype every p = 2 transform of a size-`size` table runs in
+        arr = (1 - 2 * rng.integers(0, 2, size=1 << size)).astype(_p2_dtype(size))
         t0 = time.perf_counter()
         fwht_last_axis(arr)
         return time.perf_counter() - t0

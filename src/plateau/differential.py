@@ -18,7 +18,7 @@ import numpy as np
 from ._util import exact_sum
 from .domain import FuncTable, vec_add_array, vec_sub_arrays
 from .errors import InternalCheckError
-from .walsh import WalshRow, walsh_row, walsh_rows_signs_p2
+from .walsh import _sq_mod_coeffs, walsh_row, walsh_rows_signs_p2
 
 # chunk of input differences processed per batch; the scratch matrix is
 # chunk * p^n entries, kept near 4M
@@ -162,7 +162,7 @@ def _walsh_fourth_sum_all(table: FuncTable) -> int:
         sums = [0] * p
         for b in range(pr.codomain_size):
             row = walsh_row(table, b)
-            sq = _sq_mod_matrix(row)
+            sq = _sq_mod_coeffs(row.data)
             quad = _ring_sq_matrix(sq)
             bits = (p ** (4 * n + 3)).bit_length()
             for k in range(p):
@@ -176,15 +176,6 @@ def _walsh_fourth_sum_all(table: FuncTable) -> int:
             m2 = w.sq_modulus()
             total += (m2 * m2).as_integer()
     return total
-
-
-def _sq_mod_matrix(row: WalshRow) -> np.ndarray:
-    p = row.p
-    mat = row.data
-    out = np.empty_like(mat)
-    for k in range(p):
-        out[:, k] = (mat * np.roll(mat, k, axis=1)).sum(axis=1)
-    return out
 
 
 def _ring_sq_matrix(mat: np.ndarray) -> np.ndarray:

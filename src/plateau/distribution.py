@@ -75,7 +75,7 @@ def imbalance(
     if dist is None:
         dist = preimage_distribution(table)
     if zcol is None:
-        zcol = zero_column(table)
+        zcol = zero_column(table, dist.counts)
     pm = pr.codomain_size
     sq = zcol.sq_sum_nonzero()
     if sq % pm:

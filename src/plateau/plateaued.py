@@ -120,14 +120,17 @@ def _profile_batch_p2(table: FuncTable, bs: np.ndarray) -> tuple[np.ndarray, ...
     pr = table.params
     n = pr.n
     rows = walsh_rows_signs_p2(table, bs)
-    absr = np.abs(rows.astype(np.int64))
-    amax = absr.max(axis=1)
-    if int(amax.min()) < 1:
+    balanced = rows[:, 0] == 0
+    support = np.count_nonzero(rows, axis=1).astype(np.int64)
+    # |W| <= 2^n fits the rows' dtype, so the absolute values overwrite them;
+    # a row is two-valued in |W|^2 exactly when it is in |W|
+    absr = np.abs(rows, out=rows)
+    top = absr.max(axis=1)
+    if int(top.min()) < 1:
         raise InternalCheckError("a Walsh row is identically zero")
-    sq = absr * absr
+    two_valued = np.all((absr == 0) | (absr == top[:, None]), axis=1)
+    amax = top.astype(np.int64)
     vmax = amax * amax
-    two_valued = np.all((sq == 0) | (sq == vmax[:, None]), axis=1)
-    support = (rows != 0).sum(axis=1).astype(np.int64)
     powers = np.left_shift(np.int64(1), np.arange(62, dtype=np.int64))
     lam = np.searchsorted(powers, amax)
     pow_of_two = powers[lam] == amax
@@ -137,7 +140,6 @@ def _profile_batch_p2(table: FuncTable, bs: np.ndarray) -> tuple[np.ndarray, ...
     if bool(bad.any()):
         raise InternalCheckError("plateaued row support count contradicts Parseval")
     t_out = np.where(plateaued, t, np.int64(-1))
-    balanced = rows[:, 0] == 0
     return t_out, balanced, vmax
 
 

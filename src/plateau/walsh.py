@@ -2,9 +2,17 @@
 
 W_F(b, a) = sum_x zeta^{<b,F(x)> - <a,x>} is a plain integer for p = 2 and an
 element of Z[zeta_p] for odd p.  A row (fixed output mask b) is computed by
-in-place butterflies: sign-vector transforms for p = 2, per-axis size-p DFTs
-for odd p.  Odd-p intermediate values live in (size, p) int64 matrices of
-exponent coefficients — entry [i, k] is the coefficient of zeta^k before
+in-place butterflies: radix-4 Walsh-Hadamard stages on sign vectors for
+p = 2, per-axis size-p DFTs for odd p.
+
+Every p = 2 transform here is of +-1 sign rows of length 2^n or of preimage
+counts totalling 2^n, so every value, intermediate ones included, has
+magnitude at most 2^n.  One rule (_p2_dtype) turns that bound into the
+narrowest dtype that holds it: int16 while n <= 14, int32 while n <= 30,
+int64 while n <= 62, BudgetError beyond.
+
+Odd-p intermediate values live in (size, p) int64 matrices of exponent
+coefficients — entry [i, k] is the coefficient of zeta^k before
 canonicalization — so multiplying by zeta^s is a cyclic shift along the last
 axis; CycInt objects are materialized on access.
 
@@ -18,7 +26,7 @@ reference oracle for every fast path.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -54,18 +62,89 @@ def walsh_point(table: FuncTable, b: int, a: int) -> "int | CycInt":
 # ---------------------------------------------------------------------------
 # transform kernels
 
+# fwht_last_axis: stages with stride h below _SHORT_STRIDE run block-major over
+# blocks of _BLOCK entries, which keeps each block in cache
+_SHORT_STRIDE = 8
+_BLOCK = 1 << 12
+
+
+def _p2_dtype(n: int) -> np.dtype:
+    """Narrowest integer dtype for every p = 2 transform of a size-n table.
+
+    The bound: each intermediate value of the transform of a +-1 sign row of
+    length 2^n, or of preimage counts summing to 2^n, is a signed sum of
+    entries whose magnitudes total 2^n, so its magnitude is at most 2^n.
+    Hence int16 while n <= 14, int32 while n <= 30, int64 while n <= 62.
+    """
+    if n <= 14:
+        return np.dtype(np.int16)
+    if n <= 30:
+        return np.dtype(np.int32)
+    if n <= 62:
+        return np.dtype(np.int64)
+    raise BudgetError(f"p = 2 transforms at n={n} exceed the int64 budget")
+
+
 def fwht_last_axis(arr: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform along the last axis (length 2^k)."""
+    """In-place Walsh-Hadamard transform along the last axis (length 2^k).
+
+    Radix-4 butterflies: each stage maps the quadruple (a, b, c, d) at
+    stride h to (a+b+c+d, a-b+c-d, a+b-c-d, a-b-c+d), two radix-2 stages at
+    once, written back through np.add/np.subtract with out=.  When k is odd
+    one radix-2 stage runs first.  Every temporary is a value of some radix-2
+    stage, so the arithmetic stays within the input's dtype whenever the
+    final values do (the p = 2 bound is in _p2_dtype).  `arr` must be
+    C-contiguous, so that the stage views write through to it.
+    """
     size = arr.shape[-1]
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"transform length {size} is not a power of two")
+    if not arr.flags.c_contiguous:
+        raise ValueError("fwht_last_axis needs a C-contiguous array")
+    # a stage only mixes entries within aligned runs of 4h, which never cross
+    # a row boundary, so the stages can work on the flat buffer
+    flat = arr.reshape(-1)
+    scratch = np.empty(flat.size // 2, dtype=arr.dtype)
     h = 1
+    if (size.bit_length() - 1) % 2:
+        a, b = flat[0::2], flat[1::2]
+        np.subtract(a, b, out=scratch)
+        np.add(a, b, out=a)
+        np.copyto(b, scratch)
+        h = 2
+    quarter = flat.size // 4
     while h < size:
-        v = arr.reshape(arr.shape[:-1] + (size // (2 * h), 2, h))
-        x = v[..., 0, :].copy()
-        v[..., 0, :] += v[..., 1, :]
-        v[..., 1, :] *= -1
-        v[..., 1, :] += x
-        h *= 2
+        if h < _SHORT_STRIDE:
+            # run along the quadruples of one offset at a time, block by
+            # block, instead of one inner loop of length h per quadruple
+            width = min(size, _BLOCK)
+            v = flat.reshape(-1, width // (4 * h), 4, h).swapaxes(1, 3)
+            a, b, c, d = v[:, :, 0], v[:, :, 1], v[:, :, 2], v[:, :, 3]
+            order = "C"
+        else:
+            v = flat.reshape(-1, 4, h)
+            a, b, c, d = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
+            order = "K"
+        s = scratch[:quarter].reshape(a.shape)
+        t = scratch[quarter:].reshape(a.shape)
+        np.add(a, b, out=s, order=order)
+        np.subtract(a, b, out=t, order=order)
+        np.add(c, d, out=a, order=order)
+        np.subtract(c, d, out=b, order=order)
+        np.subtract(s, a, out=c, order=order)
+        np.subtract(t, b, out=d, order=order)
+        np.add(s, a, out=a, order=order)
+        np.add(t, b, out=b, order=order)
+        h *= 4
     return arr
+
+
+def _sign_transform(bits: np.ndarray, n: int) -> np.ndarray:
+    """Transform of the sign rows (-1)^bits of length 2^n, in _p2_dtype(n)."""
+    signs = bits.astype(_p2_dtype(n))
+    signs *= -2
+    signs += 1
+    return fwht_last_axis(signs)
 
 
 def dft_p_axes(mat: np.ndarray, p: int, axes: int, sign: int) -> np.ndarray:
@@ -183,9 +262,7 @@ def walsh_row(table: FuncTable, b: int) -> WalshRow:
     pr = table.params
     p, n = pr.p, pr.n
     if p == 2:
-        fb = component_values(table, b)
-        signs = 1 - 2 * fb.astype(np.int64)
-        return WalshRow(2, n, b, fwht_last_axis(signs))
+        return WalshRow(2, n, b, _sign_transform(component_values(table, b), n))
     _guard_int64(p, n)
     evec = component_values(table, b)
     mat = _exponent_one_hot(evec, p)
@@ -193,15 +270,18 @@ def walsh_row(table: FuncTable, b: int) -> WalshRow:
 
 
 def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
-    """Batched transformed rows for p=2: (len(bs), 2^n) int32."""
+    """Batched transformed rows for p=2: (len(bs), 2^n) in _p2_dtype(n).
+
+    Entries are bounded by 2^n in magnitude: int16 while n <= 14, int32
+    while n <= 30.  Batches beyond n = 30 are refused.
+    """
     pr = table.params
     if pr.p != 2:
         raise ValueError("batched sign rows are a p=2 path")
     if pr.n > 30:
         raise BudgetError("batched rows beyond n=30 exceed the int32 budget")
     fb = np.bitwise_count(table.values[None, :] & bs[:, None]) & np.uint8(1)
-    signs = 1 - 2 * fb.astype(np.int32)
-    return fwht_last_axis(signs)
+    return _sign_transform(fb, pr.n)
 
 
 class ZeroColumn:
@@ -254,13 +334,26 @@ class ZeroColumn:
         return int(self.data.shape[0])
 
 
-def zero_column(table: FuncTable) -> ZeroColumn:
-    """W_F(b, 0) for all b from the preimage counts: O(p^n + m * p^(m+1))."""
+def zero_column(table: FuncTable, counts: Optional[np.ndarray] = None) -> ZeroColumn:
+    """W_F(b, 0) for all b from the preimage counts: O(p^n + m * p^(m+1)).
+
+    `counts` are the table's preimage counts (PreimageDist.counts) when the
+    caller already holds them; otherwise they are counted here.  For p = 2
+    the transform runs in _p2_dtype(n): the counts total 2^n, which bounds
+    every value of the transform.
+    """
     pr = table.params
     p, n, m = pr.p, pr.n, pr.m
-    counts = np.bincount(table.values, minlength=pr.codomain_size)
+    if counts is None:
+        counts = np.bincount(table.values, minlength=pr.codomain_size)
+    elif (
+        counts.shape != (pr.codomain_size,)
+        or int(counts.min()) < 0
+        or int(counts.sum()) != pr.domain_size
+    ):
+        raise ValueError(f"counts are not the preimage counts of {table!r}")
     if p == 2:
-        return ZeroColumn(2, n, m, fwht_last_axis(counts.astype(np.int64)))
+        return ZeroColumn(2, n, m, fwht_last_axis(counts.astype(_p2_dtype(n))))
     _guard_int64(p, n)
     mat = np.zeros((pr.codomain_size, p), dtype=np.int64)
     mat[:, 0] = counts

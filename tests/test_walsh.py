@@ -1,9 +1,12 @@
 import numpy as np
+import pytest
 
 import oracles as o
 from plateau.cyclotomic import CycInt
 from plateau.domain import DomainParams, FuncTable
+from plateau.errors import BudgetError
 from plateau.walsh import (
+    _p2_dtype,
     component_values,
     fwht_last_axis,
     spectrum_rows,
@@ -106,6 +109,94 @@ def test_fwht_doubles_back():
     assert np.array_equal(twice, 32 * v)
 
 
+def sylvester_hadamard(k):
+    """H_(2^k) by its block definition H_2N = [[H_N, H_N], [H_N, -H_N]]."""
+    h = np.ones((1, 1), dtype=np.int8)
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_fwht_matches_sylvester_hadamard_direct_sum(k):
+    """Every length 2^0 ... 2^12 (odd and even log2), 1-D and batched, in
+    every dtype the p = 2 paths use."""
+    rng = np.random.default_rng(100 + k)
+    # |entries| <= 7, so every output is at most 7 * 2^12 < 2^15 and even
+    # the int16 transform is exact
+    x = rng.integers(-7, 8, size=(3, 1 << k))
+    h = sylvester_hadamard(k)
+    want = np.empty_like(x)
+    step = 256
+    for lo in range(0, 1 << k, step):
+        want[:, lo : lo + step] = x @ h[lo : lo + step].T.astype(np.int64)
+    for dtype in (np.int16, np.int32, np.int64):
+        batch = fwht_last_axis(x.astype(dtype))
+        assert batch.dtype == dtype
+        assert np.array_equal(batch, want), (k, dtype)
+        single = fwht_last_axis(x[1].astype(dtype))
+        assert np.array_equal(single, want[1]), (k, dtype)
+
+
+@pytest.mark.parametrize("k", [13, 14, 15])
+def test_fwht_beyond_one_block_matches_direct_sums(k):
+    """Lengths past the 2^12 block of the short-stride stages: sampled
+    outputs against the direct sum, and the transform applied twice."""
+    rng = np.random.default_rng(200 + k)
+    x = rng.integers(-7, 8, size=(2, 1 << k))
+    got = fwht_last_axis(x.astype(np.int32))
+    js = np.arange(1 << k)
+    for i in rng.integers(0, 1 << k, size=16).tolist():
+        signs = 1 - 2 * (np.bitwise_count(js & i) & 1).astype(np.int64)
+        assert np.array_equal(got[:, i], x @ signs), (k, i)
+    assert np.array_equal(fwht_last_axis(got), x << k)
+
+
+def test_fwht_rejects_bad_input():
+    with pytest.raises(ValueError):
+        fwht_last_axis(np.zeros(6, dtype=np.int32))
+    with pytest.raises(ValueError):
+        fwht_last_axis(np.zeros((4, 8), dtype=np.int32)[:, ::2])
+
+
+def test_p2_dtype_rule_edges():
+    assert _p2_dtype(0) == np.int16
+    assert _p2_dtype(14) == np.int16
+    assert _p2_dtype(15) == np.int32
+    assert _p2_dtype(30) == np.int32
+    assert _p2_dtype(31) == np.int64
+    assert _p2_dtype(62) == np.int64
+    with pytest.raises(BudgetError):
+        _p2_dtype(63)
+
+
+@pytest.mark.parametrize("n", [14, 15])
+def test_identity_table_reaches_the_bound(n):
+    """F(x) = x: row b = 1 is 2^n at a = 1 and 0 elsewhere, and W(0, 0) = 2^n.
+    At n = 15 an int16 choice would wrap 2^15 to -2^15."""
+    tbl = FuncTable(DomainParams(2, n, n), np.arange(1 << n, dtype=np.int64))
+    want = np.zeros(1 << n, dtype=np.int64)
+    want[1] = 1 << n
+    row = walsh_row(tbl, 1)
+    assert row.data.dtype == _p2_dtype(n)
+    assert np.array_equal(row.data, want)
+    batch = walsh_rows_signs_p2(tbl, np.array([1], dtype=np.int64))
+    assert batch.dtype == _p2_dtype(n)
+    assert np.array_equal(batch[0], want)
+    zc = zero_column(tbl)
+    assert zc.data.dtype == _p2_dtype(n)
+    assert zc.value(0) == 1 << n
+    assert not np.any(zc.data[1:])
+
+
+@pytest.mark.parametrize("n", [30, 31])
+def test_counts_at_the_int32_edge(n):
+    """Counts totalling 2^n transform exactly in _p2_dtype(n); at n = 31 an
+    int32 choice would wrap 2^31."""
+    counts = np.array([1 << n, 0, 0, 0], dtype=_p2_dtype(n))
+    assert fwht_last_axis(counts).tolist() == [1 << n] * 4
+
+
 def test_batched_sign_rows_match_single_rows():
     tbl = random_table(2, 5, 3, 12)
     bs = np.arange(8, dtype=np.int64)
@@ -127,6 +218,22 @@ def test_zero_column_matches_points():
             else:
                 want = CycInt.from_exponent_coeffs(p, o.walsh_counts(p, n, m, vals, b, 0))
             assert zc.value(b) == want, b
+
+
+def test_zero_column_from_shared_counts():
+    for p, n, m, seed in ((2, 6, 4, 19), (3, 3, 2, 20)):
+        tbl = random_table(p, n, m, seed)
+        counts = np.bincount(tbl.values, minlength=p**m)
+        assert np.array_equal(zero_column(tbl, counts).data, zero_column(tbl).data)
+        with pytest.raises(ValueError):
+            zero_column(tbl, counts[1:])
+        counts[0] += 1
+        with pytest.raises(ValueError):
+            zero_column(tbl, counts)
+        counts[0] -= 1
+        counts[:2] += [-counts[0] - 1, counts[0] + 1]
+        with pytest.raises(ValueError):
+            zero_column(tbl, counts)
 
 
 def test_zero_column_sums():

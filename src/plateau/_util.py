@@ -39,6 +39,27 @@ def exact_sum(arr: np.ndarray, bound_bits: int) -> int:
     return total
 
 
+_SQ_CHUNK = 1 << 20  # entries widened to int64 and squared at a time
+
+
+def exact_square_sum(arr: np.ndarray, bound_bits: int) -> int:
+    """Sum of the squares of an integer array, exactly, as a Python int.
+
+    ``bound_bits`` bounds the bit length of any square; at most 63, so every
+    square fits int64.  Entries are widened to int64 and squared 2^20 at a
+    time, so the temporaries stay at 8 MiB whatever the array's size.
+    """
+    if bound_bits > 63:
+        raise ValueError(f"squares of up to {bound_bits} bits do not fit int64")
+    flat = np.ravel(arr)
+    total = 0
+    for lo in range(0, flat.size, _SQ_CHUNK):
+        seg = flat[lo : lo + _SQ_CHUNK].astype(np.int64)
+        np.multiply(seg, seg, out=seg)
+        total += exact_sum(seg, bound_bits)
+    return total
+
+
 def thread_count() -> int:
     """Worker count: PLATEAU_THREADS if set, else cpu count (capped at 8)."""
     env = os.environ.get("PLATEAU_THREADS")

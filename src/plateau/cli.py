@@ -32,31 +32,26 @@ from .constructions import (
     monomial,
 )
 from .differential import ddt_rows, diff_summary
-from .distribution import ab_walsh_consequences, imbalance, preimage_distribution
 from .domain import DomainParams, FuncTable
 from .errors import BudgetError, ConstructionError, FileFormatError
 from .fileio import format_text, parse_function_file, write_function_file
-from .plateaued import (
-    apn_structure,
-    check_diff_two_valued,
-    component_profile,
-    dto1_check,
-    walsh_integrality_check,
-)
+from .plateaued import component_profile
 from .report import (
+    CHECKS,
     EXIT_FAIL,
     EXIT_PARTIAL,
     EXIT_PASS,
     EXIT_USAGE,
+    Analysis,
     AnalysisOptions,
-    profile_within_budget,
+    Withheld,
+    require_budget,
     run_analysis,
-    table_within_budget,
+    run_check,
 )
-from .verdict import CheckResult
 from .walsh import _p2_dtype, fwht_last_axis, spectrum_rows, zero_column
 
-_FILE_TAGS = ("platdto1", "integrality", "ab-walsh", "apn-structure", "diff-two-valued")
+_FILE_TAGS = tuple(CHECKS)
 _ARG_TAGS = ("gold", "mm1", "mm2")
 
 
@@ -237,19 +232,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     report, code = run_analysis(table, opts)
     if args.ddt_full:
-        if table_within_budget(table, opts) and not opts.zero_column_only:
+        try:
+            require_budget(table.params, opts, "diff")
+        except Withheld:
+            if code != EXIT_FAIL:
+                code = EXIT_PARTIAL
+                report["skipped"] = sorted({*report.get("skipped", ()), "ddt_csv"})
+        else:
             _write_ddt_csv(table, args.ddt_full)
             report["ddt_csv"] = args.ddt_full
-        elif code != EXIT_FAIL:
-            code = EXIT_PARTIAL
-            report.setdefault("skipped", []).append("ddt_csv")
-            report["skipped"] = sorted(set(report["skipped"]))
     _emit_json(report, args.output)
     return code
 
 
 def _write_ddt_csv(table: FuncTable, path: str) -> None:
-    pr = table.params
     with open(path, "w", encoding="ascii") as fh:
         fh.write("a,b,count\n")
         for c, row in ddt_rows(table):
@@ -264,7 +260,9 @@ def _write_ddt_csv(table: FuncTable, path: str) -> None:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     table = parse_function_file(args.file)
     pr = table.params
-    if pr.domain_size * pr.codomain_size > 1 << args.max_profile_log:
+    try:
+        require_budget(pr, AnalysisOptions(max_profile_log=args.max_profile_log), "profile")
+    except Withheld:
         sys.stderr.write(
             f"spectrum needs p^(n+m) <= 2^{args.max_profile_log}; "
             f"raise --max-profile-log to proceed\n"
@@ -291,71 +289,38 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # check-theorem
 
-def _run_file_check(tag: str, args: argparse.Namespace, table: FuncTable) -> CheckResult:
-    pr = table.params
-    opts = AnalysisOptions(
-        max_profile_log=args.max_profile_log, max_table_log=args.max_table_log
-    )
-    needs_profile = tag in ("platdto1", "apn-structure", "diff-two-valued")
-    needs_ddt = tag in ("apn-structure", "diff-two-valued")
-    if needs_profile and not profile_within_budget(table, opts):
-        return CheckResult.skipped(tag, "component profile over budget")
-    if needs_ddt and not table_within_budget(table, opts):
-        return CheckResult.skipped(tag, "difference table over budget")
-    dist = preimage_distribution(table)
-    if tag == "platdto1":
-        _, cr = dto1_check(table, dist=dist)
-        return cr
-    if tag == "integrality":
-        return walsh_integrality_check(table, dist=dist)
-    if tag == "ab-walsh":
-        if pr.m > 2 * pr.n:
-            return CheckResult.skipped(tag, "imbalance needs m <= 2n")
-        return ab_walsh_consequences(table, dist=dist, n_f=imbalance(table, dist=dist))
-    if tag == "apn-structure":
-        _, cr = apn_structure(table, dist=dist)
-        return cr
-    if tag == "diff-two-valued":
-        return check_diff_two_valued(table, dist=dist)
-    raise AssertionError(tag)
-
-
 def _cmd_check_theorem(args: argparse.Namespace) -> int:
     tag = args.paper_ref
     kv, rest = _split_kv(args.args)
-    if tag in _FILE_TAGS:
+    opts = AnalysisOptions(
+        max_profile_log=args.max_profile_log, max_table_log=args.max_table_log
+    )
+    if tag in CHECKS:
         _kv_done(kv)
         if len(rest) != 1:
             raise FileFormatError(f"check {tag} takes exactly one table file")
-        table = parse_function_file(rest[0])
-        cr = _run_file_check(tag, args, table)
-    elif tag == "gold":
+        cr = run_check(Analysis(parse_function_file(rest[0]), opts), tag, [])
+    elif tag in _ARG_TAGS:
         if rest:
             raise FileFormatError(f"unexpected arguments: {' '.join(rest)}")
-        n = _kv_int(kv, "n")
-        r = _kv_int(kv, "r")
-        mod = _kv_modulus(kv)
-        _kv_done(kv)
-        if (1 << n) * (1 << (n // 2 if n >= 2 else 0)) > 1 << args.max_profile_log:
-            cr = CheckResult.skipped(tag, "component profile over budget")
+        if tag == "gold":
+            n = _kv_int(kv, "n")
+            r = _kv_int(kv, "r")
+            mod = _kv_modulus(kv)
+            _kv_done(kv)
+            cr = check_gold(n, r, modulus=mod, opts=opts)
+        elif tag == "mm1":
+            m = _kv_int(kv, "m") if "m" in kv else None
+            pi = _kv_lookup(kv, "pi", m)
+            phi = _kv_lookup(kv, "phi", m)
+            _kv_done(kv)
+            cr = check_mm1(pi, phi, opts=opts)
         else:
-            cr = check_gold(n, r, modulus=mod)
-    elif tag == "mm1":
-        if rest:
-            raise FileFormatError(f"unexpected arguments: {' '.join(rest)}")
-        m = _kv_int(kv, "m") if "m" in kv else None
-        pi = _kv_lookup(kv, "pi", m)
-        phi = _kv_lookup(kv, "phi", m)
-        _kv_done(kv)
-        cr = check_mm1(pi, phi)
-    elif tag == "mm2":
-        if rest:
-            raise FileFormatError(f"unexpected arguments: {' '.join(rest)}")
-        m = _kv_int(kv, "m") if "m" in kv else None
-        i = _kv_int(kv, "i")
-        pi = _kv_lookup(kv, "pi", m)
-        _kv_done(kv)
-        cr = check_mm2(pi, i)
+            m = _kv_int(kv, "m") if "m" in kv else None
+            i = _kv_int(kv, "i")
+            pi = _kv_lookup(kv, "pi", m)
+            _kv_done(kv)
+            cr = check_mm2(pi, i, opts=opts)
     else:
         raise FileFormatError(
             f"unknown check {tag!r}; expected one of "

@@ -17,19 +17,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distribution import (
-    ab_walsh_consequences,
-    classify_almost_balanced,
-    imbalance,
-    preimage_distribution,
-)
+from .distribution import ab_walsh_consequences
 from .domain import DomainParams, FuncTable, matrix_apply, matrix_rank
 from .errors import ConstructionError
 from .field import FieldCtx
-from .plateaued import component_profile
+from .report import Analysis, AnalysisOptions, Withheld, require_budget
 from .verdict import CheckResult
-
-_CHECK_PROFILE_CAP = 1 << 20  # measure spectra in check_* only below this p^(n+m)
 
 
 def monomial(
@@ -227,18 +220,19 @@ def linear_compose(table: FuncTable, rows: Sequence[Sequence[int]]) -> FuncTable
 # ---------------------------------------------------------------------------
 # construction-specific checks (CLI theorem tags gold / mm1 / mm2)
 
-def _maybe_profile(table: FuncTable, threads: Optional[int]) -> Optional[dict]:
-    pr = table.params
-    if pr.domain_size * pr.codomain_size > _CHECK_PROFILE_CAP:
+def _profile_dict(an: Analysis) -> Optional[dict]:
+    """The component profile as a dict, or None when the budget withholds it."""
+    try:
+        return an.profile().as_dict()
+    except Withheld:
         return None
-    return component_profile(table, threads=threads).as_dict()
 
 
 def check_gold(
     n: int,
     r: int,
     modulus: Optional[Sequence[int]] = None,
-    threads: Optional[int] = None,
+    opts: AnalysisOptions = AnalysisOptions(),
 ) -> CheckResult:
     """Build the trace construction and verify its advertised structure.
 
@@ -250,16 +244,20 @@ def check_gold(
     d != n/2 additionally: surjective, one fiber of size
     2^(n/2) + (2^(n/2) - 1) * 2^d at value 0, all others 2^(n/2) - 2^d, the
     classifier reports the larger-fiber type with witness 0, and the collapsed
-    zero column passes its consequence check.
+    zero column passes its consequence check.  The profile budget in `opts`
+    is decided on the shape (2, n, n/2) before the table is built.
     """
     tag = "gold"
     try:
+        if n >= 2:  # gold_trace rejects smaller n
+            require_budget(DomainParams(2, n, n // 2), opts, "profile")
         table = gold_trace(n, r, modulus=modulus)
-    except ConstructionError as e:
+    except (Withheld, ConstructionError) as e:
         return CheckResult.skipped(tag, str(e))
+    an = Analysis(table, opts)
     d = gcd(r, n)
     half = n // 2
-    profile = component_profile(table, threads=threads)
+    profile = an.profile()
     problems = []
     if not profile.all_plateaued:
         problems.append(f"{profile.not_plateaued_count} components are not plateaued")
@@ -275,7 +273,7 @@ def check_gold(
         "profile": profile.as_dict(),
     }
     if d != half:
-        dist = preimage_distribution(table)
+        dist = an.dist
         big = (1 << half) + ((1 << half) - 1) * (1 << d)
         small = (1 << half) - (1 << d)
         expected = ((small, (1 << half) - 1), (big, 1))
@@ -287,14 +285,14 @@ def check_gold(
             )
         if dist.count_of(0) != big:
             problems.append(f"fiber at 0 has size {dist.count_of(0)}, expected {big}")
-        n_f = imbalance(table, dist=dist)
-        ab = classify_almost_balanced(table, dist=dist, n_f=n_f)
+        n_f = an.n_f
+        ab = an.ab
         if ab.kind != "type_plus" or ab.witness != 0:
             problems.append(
                 f"classifier gave kind {ab.kind} with witness {ab.witness}, "
                 "expected the larger-fiber type at 0"
             )
-        rider = ab_walsh_consequences(table, dist=dist, n_f=n_f, ab=ab)
+        rider = ab_walsh_consequences(an)
         if not rider.ok:
             problems.append(f"zero-column consequence check: {rider.reason}")
         details.update(
@@ -312,18 +310,20 @@ def check_gold(
 def check_mm1(
     pi: Sequence[int],
     phi: Sequence[int],
-    threads: Optional[int] = None,
+    opts: AnalysisOptions = AnalysisOptions(),
 ) -> CheckResult:
-    """Verify the exact value distribution of x * pi(y) + phi(y) per case."""
+    """Verify the exact value distribution of x * pi(y) + phi(y) per case;
+    details carry the component profile when `opts` allows it."""
     tag = "mm1"
     try:
         table = mm_pi_phi(pi, phi)
         case, betas = mm1_case(pi, phi)
     except ConstructionError as e:
         return CheckResult.skipped(tag, str(e))
+    an = Analysis(table, opts)
     m = table.params.m
     expected = mm1_expected_histogram(m, case)
-    dist = preimage_distribution(table)
+    dist = an.dist
     problems = []
     if dist.histogram != expected:
         problems.append(f"fiber histogram {dist.histogram}, expected {expected}")
@@ -336,8 +336,8 @@ def check_mm1(
         "case": case,
         "betas": list(betas),
         "histogram": [list(x) for x in dist.histogram],
-        "imbalance": imbalance(table, dist=dist),
-        "profile": _maybe_profile(table, threads),
+        "imbalance": an.n_f,
+        "profile": _profile_dict(an),
     }
     if problems:
         return CheckResult.failed(tag, "; ".join(problems), **details)
@@ -347,9 +347,10 @@ def check_mm1(
 def check_mm2(
     pi: Sequence[int],
     i: int,
-    threads: Optional[int] = None,
+    opts: AnalysisOptions = AnalysisOptions(),
 ) -> CheckResult:
-    """Verify the one-big-fiber distribution of (x pi(y), x pi(y)^(2^i))."""
+    """Verify the one-big-fiber distribution of (x pi(y), x pi(y)^(2^i));
+    details carry the component profile when `opts` allows it."""
     tag = "mm2"
     try:
         table = mm_pair(pi, i)
@@ -359,7 +360,8 @@ def check_mm2(
     size = 1 << m
     big = 2 * size - 1
     expected = ((1, size * size - big), (big, 1))
-    dist = preimage_distribution(table)
+    an = Analysis(table, opts)
+    dist = an.dist
     problems = []
     if dist.histogram != expected:
         problems.append(f"fiber histogram {dist.histogram}, expected {expected}")
@@ -371,7 +373,7 @@ def check_mm2(
         "i": i,
         "histogram": [list(x) for x in dist.histogram],
         "image_size": dist.image_size,
-        "profile": _maybe_profile(table, threads),
+        "profile": _profile_dict(an),
     }
     if problems:
         return CheckResult.failed(tag, "; ".join(problems), **details)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import isqrt
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -21,7 +21,10 @@ from ._util import ceil_div
 from .domain import DomainParams, FuncTable, matrix_apply, vec_add_arrays
 from .errors import InternalCheckError
 from .verdict import CheckResult
-from .walsh import ZeroColumn, zero_column
+from .walsh import zero_column
+
+if TYPE_CHECKING:
+    from .report import Analysis
 
 
 @dataclass(frozen=True)
@@ -63,21 +66,15 @@ def preimage_distribution(table: FuncTable) -> PreimageDist:
     return PreimageDist(pr, counts, image_size, histogram)
 
 
-def imbalance(
-    table: FuncTable,
-    dist: Optional[PreimageDist] = None,
-    zcol: Optional[ZeroColumn] = None,
-) -> int:
+def imbalance(table: FuncTable, dist: Optional[PreimageDist] = None) -> int:
     """N_F, from the zero column and re-derived from fiber sizes; both must agree."""
     pr = table.params
     if pr.m > 2 * pr.n:
         raise ValueError(f"imbalance needs m <= 2n for integrality; got n={pr.n} m={pr.m}")
     if dist is None:
         dist = preimage_distribution(table)
-    if zcol is None:
-        zcol = zero_column(table, dist.counts)
     pm = pr.codomain_size
-    sq = zcol.sq_sum_nonzero()
+    sq = zero_column(table, dist.counts).sq_sum_nonzero()
     if sq % pm:
         raise InternalCheckError(f"sum of squared zero-column moduli {sq} not divisible by p^m")
     from_walsh = sq // pm
@@ -245,32 +242,27 @@ def classify_almost_balanced(
     return ABClass("not_ab", None, (), (), surjective)
 
 
-def ab_walsh_consequences(
-    table: FuncTable,
-    dist: Optional[PreimageDist] = None,
-    n_f: Optional[int] = None,
-    ab: Optional[ABClass] = None,
-) -> CheckResult:
+def ab_walsh_consequences(an: "Analysis") -> CheckResult:
     """For surjective AB functions: the zero column collapses to one integer.
 
     Verifies, after shifting the witness value to 0: (a) W(b,0) identical over
     all b != 0, (b) the common value is a nonzero rational integer, (c)
     p^m * N_F = (p^m - 1) * W^2, (d) p^m | W, and both fiber-size formulas.
+    Takes the distribution, N_F and the AB class from the table's Analysis.
     """
     tag = "ab-walsh"
-    pr = table.params
-    if dist is None:
-        dist = preimage_distribution(table)
+    pr = an.params
+    n_f = an.n_f
     if n_f is None:
-        n_f = imbalance(table, dist=dist)
-    if ab is None:
-        ab = classify_almost_balanced(table, dist=dist, n_f=n_f)
+        return CheckResult.skipped(tag, "imbalance needs m <= 2n")
+    dist = an.dist
+    ab = an.ab
     if not ab.surjective:
         return CheckResult.skipped(tag, "function is not surjective")
     if ab.kind == "not_ab":
         return CheckResult.skipped(tag, "function is not almost balanced")
     assert ab.witness is not None
-    shifted = table if ab.witness == 0 else table.shifted_output(ab.witness)
+    shifted = an.table if ab.witness == 0 else an.table.shifted_output(ab.witness)
     zc = zero_column(shifted)
     pm = pr.codomain_size
     problems: list[str] = []

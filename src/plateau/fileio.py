@@ -57,6 +57,15 @@ def _parse_text(data: bytes, name: str) -> FuncTable:
         params = DomainParams(p, n, m)
     except ValueError as e:
         raise FileFormatError(f"{name}:1: {e}") from None
+    # every entry takes at least one byte, so a body shorter than p^n cannot
+    # hold the table; refusing it here bounds the allocation below by the
+    # file's own size
+    body = len(text) - len(lines[0])
+    if body < params.domain_size:
+        raise FileFormatError(
+            f"{name}:1: header promises {params.domain_size} entries, "
+            f"but only {body} bytes follow it"
+        )
     vals = np.empty(params.domain_size, dtype=np.int64)
     filled = 0
     for lineno, line in enumerate(lines[1:], start=2):

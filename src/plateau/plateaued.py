@@ -8,23 +8,31 @@ the two coincide only for p = 2.
 
 Every named check returns a CheckResult instead of assuming its hypotheses:
 hypothesis mismatches are "skipped", violated conclusions are "fail" with the
-offending quantities in details.
+offending quantities in details.  A check takes the table's `Analysis` and
+asks it for each artifact when it needs it; an artifact a budget withholds
+raises `report.Withheld` out of the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ._util import exact_sum, run_ordered, thread_count
-from .differential import DiffSummary, diff_summary
-from .distribution import PreimageDist, imbalance, preimage_distribution
+# the checks take their artifacts from an Analysis; diff_summary and
+# preimage_distribution stay importable here because perfbench/tracer.py
+# wraps them under these names
+from .differential import diff_summary
+from .distribution import PreimageDist, preimage_distribution
 from .domain import DomainParams, FuncTable, dot_array
 from .errors import InternalCheckError
 from .verdict import CheckResult, combine
 from .walsh import walsh_row, walsh_rows_signs_p2, zero_column
+
+if TYPE_CHECKING:
+    from .report import Analysis
 
 _PROFILE_BATCH = 256  # masks per batch; fixed so output never depends on threads
 
@@ -250,12 +258,7 @@ def detect_dto1(dist: PreimageDist) -> Optional[int]:
     return None
 
 
-def dto1_check(
-    table: FuncTable,
-    dist: Optional[PreimageDist] = None,
-    profile: Optional[AmplitudeProfile] = None,
-    threads: Optional[int] = None,
-) -> tuple[Dto1Report, CheckResult]:
+def dto1_check(an: "Analysis") -> tuple[Dto1Report, CheckResult]:
     """Detect the d-to-1 pattern and verify the spectral structure it forces.
 
     For d > 2 the verified conclusions are: n even, d = p^t + 1, t | n/2,
@@ -266,17 +269,14 @@ def dto1_check(
     whose distribution matches but whose spectrum does not is a failure.
     """
     tag = "platdto1"
-    pr = table.params
+    pr = an.params
     empty = Dto1Report(False, None, None, None, None, None)
     if pr.n != pr.m:
         return empty, CheckResult.skipped(tag, "d-to-1 analysis needs n = m")
-    if dist is None:
-        dist = preimage_distribution(table)
-    d = detect_dto1(dist)
+    d = detect_dto1(an.dist)
     if d is None:
         return empty, CheckResult.skipped(tag, "value distribution is not d-to-1")
-    if profile is None:
-        profile = component_profile(table, threads=threads)
+    profile = an.profile()
     report = Dto1Report(True, d, None, profile.bent_count, None, profile.linearity_sq)
     pn = pr.domain_size
     if d == 1:
@@ -343,26 +343,23 @@ def dto1_check(
     return report, CheckResult.passed(tag, **details)
 
 
-def walsh_integrality_check(
-    table: FuncTable, dist: Optional[PreimageDist] = None
-) -> CheckResult:
+def walsh_integrality_check(an: "Analysis") -> CheckResult:
     """For odd p and a d-to-1 table with d > 2: W(b,0) must be a rational
     integer congruent to 1 mod d, after shifting the size-1 fiber to 0."""
     tag = "integrality"
-    pr = table.params
+    pr = an.params
     if pr.p == 2:
         return CheckResult.skipped(tag, "requires odd p")
     if pr.n != pr.m:
         return CheckResult.skipped(tag, "d-to-1 analysis needs n = m")
-    if dist is None:
-        dist = preimage_distribution(table)
+    dist = an.dist
     d = detect_dto1(dist)
     if d is None:
         return CheckResult.skipped(tag, "value distribution is not d-to-1")
     if d <= 2:
         return CheckResult.skipped(tag, f"needs d > 2, got d = {d}")
     witness = int(np.nonzero(dist.counts == 1)[0][0])
-    shifted = table if witness == 0 else table.shifted_output(witness)
+    shifted = an.table if witness == 0 else an.table.shifted_output(witness)
     zc = zero_column(shifted)
     rows = zc.data
     rational = np.all(rows[:, 1:] == rows[:, 1:2], axis=1)
@@ -421,30 +418,19 @@ def _min_image_type(dist: PreimageDist) -> "int | str":
     return "other"
 
 
-def apn_structure(
-    table: FuncTable,
-    dist: Optional[PreimageDist] = None,
-    n_f: Optional[int] = None,
-    profile: Optional[AmplitudeProfile] = None,
-    diff: Optional[DiffSummary] = None,
-    threads: Optional[int] = None,
-) -> tuple[Optional[ApnStructure], CheckResult]:
+def apn_structure(an: "Analysis") -> tuple[Optional[ApnStructure], CheckResult]:
     """The imbalance, bent-count, and value-distribution facts forced on
     plateaued APN functions; each verified as a separate sub-check."""
     tag = "apn-structure"
-    pr = table.params
+    pr = an.params
     if pr.p != 2 or pr.n != pr.m:
         return None, CheckResult.skipped(tag, "requires p = 2 and n = m")
-    if diff is None:
-        diff = diff_summary(table)
+    diff = an.diff()
     if not diff.apn:
         return None, CheckResult.skipped(tag, f"not APN (differential uniformity {diff.delta})")
-    if dist is None:
-        dist = preimage_distribution(table)
-    if n_f is None:
-        n_f = imbalance(table, dist=dist)
-    if profile is None:
-        profile = component_profile(table, threads=threads)
+    dist = an.dist
+    n_f = an.n_f
+    profile = an.profile()
     n = pr.n
     pn = pr.domain_size
     checks = [
@@ -576,13 +562,7 @@ def apn_structure(
 # ---------------------------------------------------------------------------
 # differential two-valuedness
 
-def check_diff_two_valued(
-    table: FuncTable,
-    dist: Optional[PreimageDist] = None,
-    profile: Optional[AmplitudeProfile] = None,
-    diff: Optional[DiffSummary] = None,
-    threads: Optional[int] = None,
-) -> CheckResult:
+def check_diff_two_valued(an: "Analysis") -> CheckResult:
     """delta >= p^t, with equality exactly for two-valued difference tables.
 
     Applies in two situations sharing the same conclusion: a single-amplitude
@@ -590,18 +570,15 @@ def check_diff_two_valued(
     with d = p^t + 1.
     """
     tag = "diff-two-valued"
-    pr = table.params
+    pr = an.params
     if pr.n != pr.m:
         return CheckResult.skipped(tag, "requires n = m")
-    if dist is None:
-        dist = preimage_distribution(table)
-    if profile is None:
-        profile = component_profile(table, threads=threads)
+    profile = an.profile()
     ts: list[tuple[str, int]] = []
     single = profile.single_t
     if single is not None and single > 0:
         ts.append(("single-amplitude", single))
-    d = detect_dto1(dist)
+    d = detect_dto1(an.dist)
     if d is not None and d > 2 and profile.all_plateaued:
         t = _p_power_exponent(d - 1, pr.p)
         if t is not None and t >= 1:
@@ -610,8 +587,7 @@ def check_diff_two_valued(
         return CheckResult.skipped(
             tag, "neither single-amplitude t > 0 nor plateaued d-to-1 with d = p^t + 1"
         )
-    if diff is None:
-        diff = diff_summary(table)
+    diff = an.diff()
     problems = []
     for source, t in ts:
         pt = pr.p ** t

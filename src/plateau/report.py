@@ -5,20 +5,37 @@ deterministically (sorted keys); wall-clock data appears only when explicitly
 requested so that default reports are byte-identical across runs and thread
 counts.
 
-Cost gates: the component profile runs only when p^(n+m) <= 2^max_profile_log
-and difference-table work only when p^(2n) <= 2^max_table_log.  A section
-denied by a budget is listed in the report's "skipped" array and turns the
-exit status into 3 (partial result) unless some check failed outright (1).
+`Analysis(table, opts)` is the memo of one table's artifacts: `dist`, `n_f`
+(None when m > 2n), the AB class `ab`, and `profile()` / `diff()`, each
+computed at most once.  One budget rule, `require_budget`, decides the two
+heavy artifacts: the component profile runs only while
+p^(n+m) <= 2^max_profile_log and difference-table work only while
+p^(2n) <= 2^max_table_log, and zero_column_only withholds both.  A withheld
+artifact raises `Withheld(reason)`.
+
+`CHECKS` is the ordered registry of the file checks, tag -> check of an
+`Analysis`.  A check asks for each artifact at the point it needs it, so a
+hypothesis that fails first skips the check for its own reason.  `run_check`
+turns `Withheld` into a skipped verdict and lists `check:<tag>` as skipped;
+`analyze --all` runs every entry and `check-theorem --paper-ref TAG FILE`
+runs one, so the two give the same verdict.
+
+A section or check withheld by a budget is listed in the report's "skipped"
+array and turns the exit status into 3 (partial result) unless some check
+failed outright (1); a check whose hypotheses do not apply skips without
+affecting the exit code.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Optional
 
 from .differential import DiffSummary, diff_summary, fourth_moment
 from .distribution import (
+    ABClass,
     PreimageDist,
     classify_almost_balanced,
     ab_walsh_consequences,
@@ -29,7 +46,7 @@ from .distribution import (
     preimage_distribution,
     surjectivity_certificate,
 )
-from .domain import FuncTable
+from .domain import DomainParams, FuncTable
 from .plateaued import (
     AmplitudeProfile,
     apn_structure,
@@ -62,24 +79,110 @@ class AnalysisOptions:
     threads: Optional[int] = None
 
 
-def profile_within_budget(table: FuncTable, opts: AnalysisOptions) -> bool:
-    pr = table.params
-    return pr.domain_size * pr.codomain_size <= 1 << opts.max_profile_log
+class Withheld(Exception):
+    """A budget or zero_column_only withholds an artifact; str() is the reason."""
 
 
-def table_within_budget(table: FuncTable, opts: AnalysisOptions) -> bool:
-    pr = table.params
-    return pr.domain_size * pr.domain_size <= 1 << opts.max_table_log
+# artifact -> (cost of computing it for a shape, option bounding log2 of the
+# cost, reason when withheld)
+_BUDGETS = {
+    "profile": (
+        lambda pr: pr.domain_size * pr.codomain_size,
+        "max_profile_log",
+        "component profile over budget",
+    ),
+    "diff": (
+        lambda pr: pr.domain_size * pr.domain_size,
+        "max_table_log",
+        "difference table over budget",
+    ),
+}
 
 
-def _distribution_block(table: FuncTable, dist: PreimageDist) -> tuple[dict, Optional[int], bool]:
-    """Returns (block, n_f, imbalance_available)."""
-    pr = table.params
+def require_budget(params: DomainParams, opts: AnalysisOptions, artifact: str) -> None:
+    """The one budget rule: raise Withheld unless `artifact` ("profile" or
+    "diff") may be computed for a table of this shape."""
+    cost, option, reason = _BUDGETS[artifact]
+    if opts.zero_column_only or cost(params) > 1 << getattr(opts, option):
+        raise Withheld(reason)
+
+
+class Analysis:
+    """The artifacts of one table under one set of options, each computed at
+    most once and only when first asked for."""
+
+    def __init__(self, table: FuncTable, opts: AnalysisOptions = AnalysisOptions()):
+        self.table = table
+        self.params = table.params
+        self.opts = opts
+        self._profile: Optional[AmplitudeProfile] = None
+        self._diff: Optional[DiffSummary] = None
+
+    @cached_property
+    def dist(self) -> PreimageDist:
+        return preimage_distribution(self.table)
+
+    @cached_property
+    def n_f(self) -> Optional[int]:
+        """The imbalance N_F, or None when m > 2n (it need not be an integer)."""
+        pr = self.params
+        return None if pr.m > 2 * pr.n else imbalance(self.table, dist=self.dist)
+
+    @cached_property
+    def ab(self) -> ABClass:
+        """The almost-balanced class; needs n_f."""
+        return classify_almost_balanced(self.table, dist=self.dist, n_f=self.n_f)
+
+    def profile(self) -> AmplitudeProfile:
+        if self._profile is None:
+            require_budget(self.params, self.opts, "profile")
+            self._profile = component_profile(self.table, threads=self.opts.threads)
+        return self._profile
+
+    def diff(self) -> DiffSummary:
+        if self._diff is None:
+            require_budget(self.params, self.opts, "diff")
+            self._diff = diff_summary(self.table)
+        return self._diff
+
+
+def _platdto1(an: Analysis) -> CheckResult:
+    # the d-to-1 verdict rests on the profile, so its budget is decided
+    # before the check's hypotheses are
+    require_budget(an.params, an.opts, "profile")
+    return dto1_check(an)[1]
+
+
+# The lambdas look the checks up among this module's globals at call time,
+# so a wrapper installed on a name (perfbench/tracer.py) sees every call.
+CHECKS: dict[str, Callable[[Analysis], CheckResult]] = {
+    "platdto1": _platdto1,
+    "integrality": lambda an: walsh_integrality_check(an),
+    "ab-walsh": lambda an: ab_walsh_consequences(an),
+    "apn-structure": lambda an: apn_structure(an)[1],
+    "diff-two-valued": lambda an: check_diff_two_valued(an),
+}
+
+
+def run_check(an: Analysis, tag: str, skipped: list[str]) -> CheckResult:
+    """Run the registry entry `tag`; a withheld artifact skips it and
+    appends `check:<tag>` to `skipped`."""
+    try:
+        return CHECKS[tag](an)
+    except Withheld as w:
+        skipped.append(f"check:{tag}")
+        return CheckResult.skipped(tag, str(w))
+
+
+def _distribution_block(an: Analysis) -> dict:
+    pr = an.params
+    dist = an.dist
     block: dict = {
         "image_size": dist.image_size,
         "preimage_histogram": [list(x) for x in dist.histogram],
     }
-    if pr.m > 2 * pr.n:
+    n_f = an.n_f
+    if n_f is None:
         block.update(
             {
                 "imbalance": None,
@@ -91,11 +194,10 @@ def _distribution_block(table: FuncTable, dist: PreimageDist) -> tuple[dict, Opt
             "guaranteed": None,
             "inconclusive": True,
         }
-        return block, None, False
-    n_f = imbalance(table, dist=dist)
+        return block
     rad, image = imbalance_defect(dist, n_f)
     aware, free = preimage_bounds(dist, n_f)
-    ab = classify_almost_balanced(table, dist=dist, n_f=n_f)
+    ab = an.ab
     cert = surjectivity_certificate(dist, n_f)
     lower = image_lower_bound(pr, n_f)
     if lower > dist.image_size:
@@ -121,184 +223,71 @@ def _distribution_block(table: FuncTable, dist: PreimageDist) -> tuple[dict, Opt
             "image_lower_bound": lower,
         }
     )
-    return block, n_f, True
+    return block
+
+
+def _differential_block(an: Analysis) -> dict:
+    diff = an.diff()
+    moments = fourth_moment(an.table)
+    return {
+        "delta": diff.delta,
+        "two_valued_at": diff.two_valued_at,
+        "apn": diff.apn,
+        "fourth_moment_all": moments.all_masks,
+        "fourth_moment_restricted": moments.restricted,
+        "apn_by_moment": moments.apn_by_moment,
+    }
 
 
 def run_analysis(table: FuncTable, opts: AnalysisOptions) -> tuple[dict, int]:
     """Build the report dict and its exit code."""
     pr = table.params
+    an = Analysis(table, opts)
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
-    budget_skipped: list[str] = []
+    skipped: list[str] = []
     report: dict = {
         "params": {"p": pr.p, "n": pr.n, "m": pr.m},
     }
 
     t0 = time.perf_counter()
-    dist = preimage_distribution(table)
-    block, n_f, have_nf = _distribution_block(table, dist)
-    report["distribution"] = block
+    report["distribution"] = _distribution_block(an)
     timings["distribution"] = time.perf_counter() - t0
-    if not have_nf:
-        budget_skipped.append("imbalance")
+    if an.n_f is None:
+        skipped.append("imbalance")
 
-    want_profile = opts.with_profile and not opts.zero_column_only
-    want_diff = opts.with_differential and not opts.zero_column_only
-
-    profile: Optional[AmplitudeProfile] = None
-    if want_profile:
-        if profile_within_budget(table, opts):
-            t0 = time.perf_counter()
-            profile = component_profile(table, threads=opts.threads)
-            report["profile"] = profile.as_dict()
-            timings["profile"] = time.perf_counter() - t0
+    sections = (
+        ("profile", opts.with_profile, lambda: an.profile().as_dict()),
+        ("differential", opts.with_differential, lambda: _differential_block(an)),
+    )
+    for name, wanted, build in sections:
+        if not wanted or opts.zero_column_only:
+            continue
+        t0 = time.perf_counter()
+        try:
+            report[name] = build()
+        except Withheld:
+            report[name] = None
+            skipped.append(name)
         else:
-            report["profile"] = None
-            budget_skipped.append("profile")
+            timings[name] = time.perf_counter() - t0
 
-    diff: Optional[DiffSummary] = None
-    if want_diff:
-        if table_within_budget(table, opts):
-            t0 = time.perf_counter()
-            diff = diff_summary(table)
-            dblock = {
-                "delta": diff.delta,
-                "two_valued_at": diff.two_valued_at,
-                "apn": diff.apn,
-            }
-            moments = fourth_moment(table)
-            dblock["fourth_moment_all"] = moments.all_masks
-            dblock["fourth_moment_restricted"] = moments.restricted
-            dblock["apn_by_moment"] = moments.apn_by_moment
-            report["differential"] = dblock
-            timings["differential"] = time.perf_counter() - t0
-        else:
-            report["differential"] = None
-            budget_skipped.append("differential")
-
+    any_fail = False
     if opts.with_checks:
         t0 = time.perf_counter()
-        checks = _run_checks(table, opts, dist, n_f, profile, diff, budget_skipped)
+        checks = [run_check(an, tag, skipped) for tag in CHECKS]
         report["checks"] = [c.as_dict() for c in checks]
         timings["checks"] = time.perf_counter() - t0
         any_fail = any(c.status == "fail" for c in checks)
-    else:
-        checks = []
-        any_fail = False
 
-    if budget_skipped:
-        report["skipped"] = sorted(set(budget_skipped))
+    if skipped:
+        report["skipped"] = sorted(set(skipped))
     if opts.timings:
         timings["total"] = time.perf_counter() - t_start
         report["timing"] = {k: round(v, 6) for k, v in sorted(timings.items())}
 
     if any_fail:
         return report, EXIT_FAIL
-    if budget_skipped:
+    if skipped:
         return report, EXIT_PARTIAL
     return report, EXIT_PASS
-
-
-def _run_checks(
-    table: FuncTable,
-    opts: AnalysisOptions,
-    dist: PreimageDist,
-    n_f: Optional[int],
-    profile: Optional[AmplitudeProfile],
-    diff: Optional[DiffSummary],
-    budget_skipped: list[str],
-) -> list[CheckResult]:
-    """The named theorem checks, reusing whatever was already computed.
-
-    A check that cannot run because a budget (or --zero-column-only) withheld
-    its inputs is reported as skipped and counted toward partial status; a
-    check whose mathematical hypotheses do not apply skips without affecting
-    the exit code.
-    """
-    pr = table.params
-    profile_ok = profile is not None or (
-        not opts.zero_column_only and profile_within_budget(table, opts)
-    )
-    diff_ok = diff is not None or (
-        not opts.zero_column_only and table_within_budget(table, opts)
-    )
-
-    def need_profile() -> Optional[AmplitudeProfile]:
-        nonlocal profile
-        if profile is None and profile_ok:
-            profile = component_profile(table, threads=opts.threads)
-        return profile
-
-    def need_diff() -> Optional[DiffSummary]:
-        nonlocal diff
-        if diff is None and diff_ok:
-            diff = diff_summary(table)
-        return diff
-
-    checks: list[CheckResult] = []
-
-    if not profile_ok:
-        checks.append(CheckResult.skipped("platdto1", "component profile over budget"))
-        budget_skipped.append("check:platdto1")
-    elif pr.n == pr.m and n_f is None:
-        checks.append(CheckResult.skipped("platdto1", "imbalance unavailable"))
-    else:
-        _, cr = dto1_check(table, dist=dist, profile=need_profile(), threads=opts.threads)
-        checks.append(cr)
-
-    checks.append(walsh_integrality_check(table, dist=dist))
-
-    if n_f is None:
-        checks.append(CheckResult.skipped("ab-walsh", "imbalance needs m <= 2n"))
-    else:
-        checks.append(ab_walsh_consequences(table, dist=dist, n_f=n_f))
-
-    if pr.p != 2 or pr.n != pr.m:
-        _, cr = apn_structure(table, dist=dist, n_f=n_f, profile=profile, diff=diff)
-        checks.append(cr)
-    elif not diff_ok:
-        checks.append(
-            CheckResult.skipped("apn-structure", "difference table over budget")
-        )
-        budget_skipped.append("check:apn-structure")
-    elif need_diff().apn and not profile_ok:
-        checks.append(
-            CheckResult.skipped("apn-structure", "component profile over budget")
-        )
-        budget_skipped.append("check:apn-structure")
-    else:
-        _, cr = apn_structure(
-            table,
-            dist=dist,
-            n_f=n_f,
-            profile=need_profile() if need_diff().apn else profile,
-            diff=need_diff(),
-            threads=opts.threads,
-        )
-        checks.append(cr)
-
-    if pr.n != pr.m:
-        checks.append(check_diff_two_valued(table, dist=dist, profile=profile, diff=diff))
-    elif not profile_ok:
-        checks.append(
-            CheckResult.skipped("diff-two-valued", "component profile over budget")
-        )
-        budget_skipped.append("check:diff-two-valued")
-    else:
-        prof = need_profile()
-        applicable = (prof.single_t or 0) > 0 or (
-            prof.all_plateaued and len(dist.histogram) == 2 and dist.histogram[0] == (1, 1)
-        )
-        if applicable and not diff_ok:
-            checks.append(
-                CheckResult.skipped("diff-two-valued", "difference table over budget")
-            )
-            budget_skipped.append("check:diff-two-valued")
-        else:
-            checks.append(
-                check_diff_two_valued(
-                    table, dist=dist, profile=prof, diff=need_diff() if applicable else diff,
-                    threads=opts.threads,
-                )
-            )
-    return checks

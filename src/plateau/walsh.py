@@ -30,7 +30,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._util import exact_sum
+from ._util import exact_square_sum, exact_sum
 from .cyclotomic import CycInt
 from .domain import DomainParams, FuncTable, dot, dot_array
 from .errors import BudgetError, InternalCheckError
@@ -234,13 +234,7 @@ class WalshRow:
     def parseval_sum(self) -> int:
         """Sum of |W(b,a)|^2 over a, exact; equals p^(2n) for any input."""
         if self.p == 2:
-            bits = 2 * self.n + 1
-            total = 0
-            chunk = 1 << 20
-            for lo in range(0, self.data.shape[0], chunk):
-                seg = self.data[lo : lo + chunk].astype(np.int64)
-                total += exact_sum(seg * seg, bits)
-            return total
+            return exact_square_sum(self.data, 2 * self.n + 1)
         m = _sq_mod_coeffs(self.data)
         bits = (self.p ** (2 * self.n + 1)).bit_length()
         sums = [exact_sum(m[:, k], bits) for k in range(self.p)]
@@ -316,12 +310,7 @@ class ZeroColumn:
     def sq_sum_nonzero(self) -> int:
         """Sum of |W(b,0)|^2 over b != 0, exact."""
         if self.p == 2:
-            total = 0
-            chunk = 1 << 20
-            for lo in range(1, self.data.shape[0], chunk):
-                seg = self.data[lo : lo + chunk].astype(np.int64)
-                total += exact_sum(seg * seg, 2 * self.n + 1)
-            return total
+            return exact_square_sum(self.data[1:], 2 * self.n + 1)
         _guard_int64(self.p, self.n)
         mat = self.data[1:]
         bits = (self.p ** (2 * self.n + 1)).bit_length()

@@ -39,7 +39,7 @@ from plateau.plateaued import (
     dto1_check,
     walsh_integrality_check,
 )
-from plateau.report import EXIT_FAIL, AnalysisOptions, run_analysis
+from plateau.report import EXIT_FAIL, Analysis, AnalysisOptions, run_analysis
 from plateau.walsh import walsh_row, walsh_rows_signs_p2, zero_column
 
 
@@ -94,7 +94,7 @@ def test_acceptance_1_cube_map_f16():
         fm.restricted == 122880 == 15 * 2**13,
         f"fourth moment {fm.restricted} != 122880",
     )
-    structure, res = apn_structure(table, dist=dist, n_f=n_f, profile=profile, diff=diff)
+    structure, res = apn_structure(Analysis(table))
     _check(problems, res.status == "pass", f"structure check: {res.reason}")
     _check(
         problems,
@@ -115,7 +115,7 @@ def test_acceptance_2_cube_map_f64():
     _check(problems, n_f % 4 == 2, f"imbalance {n_f} != 2 mod 4")
     profile = component_profile(table)
     diff = diff_summary(table)
-    structure, res = apn_structure(table, dist=dist, n_f=n_f, profile=profile, diff=diff)
+    structure, res = apn_structure(Analysis(table))
     _check(problems, res.status == "pass", f"structure check: {res.reason}")
     assert structure is not None
     _check(
@@ -189,7 +189,7 @@ def _gold_half(problems, n, r):
     )
     ab = classify_almost_balanced(table, dist=dist, n_f=n_f)
     _check(problems, ab.kind == "type_plus", f"n={n} r={r}: ab kind {ab.kind} != type_plus")
-    rider = ab_walsh_consequences(table, dist=dist, n_f=n_f, ab=ab)
+    rider = ab_walsh_consequences(Analysis(table))
     _check(
         problems,
         rider.status == "pass",
@@ -229,7 +229,7 @@ def test_acceptance_4_x5_f256():
     problems = []
     t0 = time.perf_counter()
     table = monomial(2, 8, 5)
-    rep, res = dto1_check(table)
+    rep, res = dto1_check(Analysis(table))
     _check(problems, res.status == "pass", f"d-to-1 check: {res.reason}")
     _check(problems, rep.d == 5 == 2**2 + 1, f"d {rep.d} != 5")
     _check(problems, rep.t == 2 and 4 % 2 == 0, f"t {rep.t} != 2")
@@ -257,7 +257,7 @@ def test_acceptance_5_odd_characteristic():
     t0 = time.perf_counter()
     for n in (3, 4):
         table = monomial(3, n, 2)
-        rep, res = dto1_check(table)
+        rep, res = dto1_check(Analysis(table))
         _check(problems, res.status == "pass", f"x^2 on F_3^{n}: {res.reason}")
         _check(problems, rep.d == 2, f"x^2 on F_3^{n}: d {rep.d} != 2")
         profile = component_profile(table)
@@ -267,13 +267,13 @@ def test_acceptance_5_odd_characteristic():
             f"x^2 on F_3^{n}: not all components bent: {profile.t_histogram()}",
         )
     table = monomial(3, 4, 4)
-    rep, res = dto1_check(table)
+    rep, res = dto1_check(Analysis(table))
     _check(problems, res.status == "pass", f"x^4 on F_3^4: {res.reason}")
     _check(problems, rep.d == 4 == 3 + 1, f"x^4: d {rep.d} != 4")
     _check(problems, rep.t == 1 and 2 % 1 == 0, f"x^4: t {rep.t} != 1")
     _check(problems, rep.n0 == 60, f"x^4: bent count {rep.n0} != 60")
     _check(problems, rep.n1 == 20, f"x^4: amplitude-9 count {rep.n1} != 20")
-    integ = walsh_integrality_check(table)
+    integ = walsh_integrality_check(Analysis(table))
     _check(problems, integ.status == "pass", f"x^4 integrality: {integ.reason}")
     for b, value in enumerate(zero_column(table).values()):
         if b == 0:

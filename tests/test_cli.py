@@ -115,6 +115,17 @@ def test_analyze_ddt_full(cube_file, tmp_path, capsys):
     assert total == 15 * 16
 
 
+def test_analyze_rejects_header_larger_than_file(tmp_path, capsys):
+    # 2^40 entries cannot fit in a 4-byte body; refused before any allocation
+    path = tmp_path / "huge.txt"
+    path.write_text("2 40 1\n0 1\n")
+    for argv in (("analyze", str(path), "--all"),
+                 ("check-theorem", "--paper-ref", "platdto1", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "header promises 1099511627776 entries" in err
+
+
 def test_construct_monomial_round_trip(tmp_path, capsys):
     dest = tmp_path / "t.txt"
     code, _, _ = run(capsys, "construct", "monomial", "p=3", "n=2", "d=2", "-o", str(dest))
@@ -254,6 +265,42 @@ def test_check_theorem_mm_tags(tmp_path, capsys):
     perm.write_text("2 2 2\n0 2 3 1\n")
     code, out, _ = run(capsys, "check-theorem", "--paper-ref", "mm2", f"pi=@{perm}", "i=1")
     assert code == 0
+
+
+def test_check_theorem_mm1_profile_follows_budget(tmp_path, capsys):
+    # m = 6: p^(n+m) = 2^18, within the default budget, over 2^10
+    pi = tmp_path / "pi.txt"
+    phi = tmp_path / "phi.txt"
+    write_function_file(FuncTable(DomainParams(2, 6, 6), [y // 2 for y in range(64)]), pi)
+    write_function_file(FuncTable(DomainParams(2, 6, 6), list(range(64))), phi)
+    argv = ("check-theorem", "--paper-ref", "mm1", f"pi=@{pi}", f"phi=@{phi}")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["details"]["profile"]["all_plateaued"] is True
+    code, out, _ = run(capsys, *argv, "--max-profile-log", "10")
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["details"]["profile"] is None
+    assert verdict["details"]["case"] == 3
+
+
+def test_check_theorem_hypotheses_before_budget(tmp_path, capsys):
+    """Over budget, check-theorem skips for the hypothesis that fails first,
+    as the same check inside analyze --all does."""
+    path = tmp_path / "sq.txt"
+    write_function_file(monomial(3, 4, 2), path)
+    code, out, _ = run(capsys, "check-theorem", "--paper-ref", "apn-structure", str(path),
+                       "--max-profile-log", "4")
+    assert code == 3
+    assert json.loads(out)["reason"] == "requires p = 2 and n = m"
+    _, out, _ = run(capsys, "analyze", str(path), "--all", "--max-profile-log", "4")
+    by_tag = {c["tag"]: c for c in json.loads(out)["checks"]}
+    assert by_tag["apn-structure"]["reason"] == "requires p = 2 and n = m"
+    # platdto1 rests on the profile, so its budget is decided first
+    code, out, _ = run(capsys, "check-theorem", "--paper-ref", "platdto1", str(path),
+                       "--max-profile-log", "4")
+    assert code == 3
+    assert json.loads(out)["reason"] == "component profile over budget"
 
 
 def test_check_theorem_usage_errors(cube_file, capsys):

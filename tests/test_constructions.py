@@ -18,6 +18,7 @@ from plateau.distribution import imbalance, preimage_distribution
 from plateau.domain import DomainParams, FuncTable
 from plateau.errors import ConstructionError
 from plateau.field import FieldCtx
+from plateau.report import AnalysisOptions
 from plateau.plateaued import component_profile
 
 
@@ -278,3 +279,25 @@ def test_gold_profile_matches_direct_profile():
     pf = component_profile(tbl)
     res = check_gold(6, 1)
     assert res.details["profile"] == pf.as_dict()
+
+
+def test_check_gold_budget_decided_before_the_build(monkeypatch):
+    import plateau.constructions as constructions
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("gold_trace ran although the budget denies the profile")
+
+    monkeypatch.setattr(constructions, "gold_trace", no_build)
+    # p^(n+m) = 2^(10+5) > 2^14
+    res = check_gold(10, 1, opts=AnalysisOptions(max_profile_log=14))
+    assert (res.status, res.reason) == ("skipped", "component profile over budget")
+
+
+def test_check_mm_profile_follows_budget():
+    low = AnalysisOptions(max_profile_log=6)
+    assert check_mm1([1, 1, 2, 2, 5, 5, 6, 6], [0] * 8).details["profile"] is not None
+    res = check_mm1([1, 1, 2, 2, 5, 5, 6, 6], [0] * 8, opts=low)  # 2^9 > 2^6
+    assert res.status == "pass" and res.details["profile"] is None
+    assert check_mm2([0, 1, 2, 3], 1).details["profile"] is not None
+    res = check_mm2([0, 1, 2, 3], 1, opts=low)  # 2^8 > 2^6
+    assert res.status == "pass" and res.details["profile"] is None

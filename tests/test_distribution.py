@@ -16,6 +16,7 @@ from plateau.distribution import (
     surjectivity_certificate,
 )
 from plateau.domain import DomainParams, FuncTable
+from plateau.report import Analysis
 
 
 def random_table(p, n, m, seed):
@@ -88,14 +89,14 @@ def test_gold_trace_is_type_plus_with_walsh_consequences():
     assert n_f == 224
     ab = classify_almost_balanced(tbl, dist=dist, n_f=n_f)
     assert ab.kind == "type_plus" and ab.witness == 0 and ab.surjective
-    res = ab_walsh_consequences(tbl, dist=dist, n_f=n_f, ab=ab)
+    res = ab_walsh_consequences(Analysis(tbl))
     assert res.status == "pass"
     assert abs(res.details["common_walsh_value"]) == 16
     assert res.details["ab_type"] == "type_plus"
 
 
 def test_ab_walsh_skips_when_not_surjective():
-    res = ab_walsh_consequences(monomial(2, 4, 3))
+    res = ab_walsh_consequences(Analysis(monomial(2, 4, 3)))
     assert res.status == "skipped"
     assert "surjective" in res.reason
 

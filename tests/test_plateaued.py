@@ -13,6 +13,7 @@ from plateau.plateaued import (
     dto1_check,
     walsh_integrality_check,
 )
+from plateau.report import Analysis
 
 
 def random_table(p, n, m, seed):
@@ -122,7 +123,7 @@ def test_detect_dto1_shapes():
 
 
 def test_dto1_cube_map_passes():
-    rep, res = dto1_check(monomial(2, 4, 3))
+    rep, res = dto1_check(Analysis(monomial(2, 4, 3)))
     assert res.status == "pass"
     assert (rep.d, rep.t, rep.n0, rep.n1) == (3, 1, 10, 5)
     assert rep.linearity_sq == 64 and rep.linearity() == 8
@@ -130,51 +131,51 @@ def test_dto1_cube_map_passes():
 
 
 def test_dto1_power_five_passes():
-    rep, res = dto1_check(monomial(2, 8, 5))
+    rep, res = dto1_check(Analysis(monomial(2, 8, 5)))
     assert res.status == "pass"
     assert (rep.d, rep.t, rep.n0, rep.n1) == (5, 2, 204, 51)
     assert rep.linearity_sq == 2**12 and rep.linearity() == 64
 
 
 def test_dto1_quartic_over_f81_passes():
-    rep, res = dto1_check(monomial(3, 4, 4))
+    rep, res = dto1_check(Analysis(monomial(3, 4, 4)))
     assert res.status == "pass"
     assert (rep.d, rep.t, rep.n0, rep.n1) == (4, 1, 60, 20)
     assert rep.linearity_sq == 3**6
 
 
 def test_dto1_planar_square_case():
-    rep, res = dto1_check(monomial(3, 3, 2))
+    rep, res = dto1_check(Analysis(monomial(3, 3, 2)))
     assert res.status == "pass"
     assert res.details["case"] == "planar-2to1"
     assert rep.d == 2 and rep.n0 == 26 and rep.n1 == 0
 
 
 def test_dto1_skip_paths():
-    _, res = dto1_check(monomial(2, 4, 3, modulus=None), dist=None)
+    _, res = dto1_check(Analysis(monomial(2, 4, 3, modulus=None)))
     assert res.status == "pass"
-    _, res = dto1_check(random_table(2, 4, 3, 53))
+    _, res = dto1_check(Analysis(random_table(2, 4, 3, 53)))
     assert res.status == "skipped" and "n = m" in res.reason
     pr = DomainParams(2, 3, 3)
-    _, res = dto1_check(FuncTable(pr, list(range(8))))
+    _, res = dto1_check(Analysis(FuncTable(pr, list(range(8)))))
     assert res.status == "skipped" and "permutation" in res.reason
     # d = 2 cannot happen at p = 2 (d divides the odd number 2^n - 1), so a
     # 2-to-1 pattern there is simply not d-to-1 in this sense
-    _, res = dto1_check(FuncTable(pr, [0, 0, 1, 1, 2, 2, 3, 3]))
+    _, res = dto1_check(Analysis(FuncTable(pr, [0, 0, 1, 1, 2, 2, 3, 3])))
     assert res.status == "skipped" and "not d-to-1" in res.reason
-    _, res = dto1_check(FuncTable(pr, [0] * 8))
+    _, res = dto1_check(Analysis(FuncTable(pr, [0] * 8)))
     assert res.status == "skipped" and "not d-to-1" in res.reason
 
 
 def test_dto1_fails_on_corrupted_spectrum():
-    rep, res = dto1_check(corrupted_cube_map())
+    rep, res = dto1_check(Analysis(corrupted_cube_map()))
     assert rep.is_dto1 and rep.d == 3
     assert res.status == "fail"
     assert "8 components are not plateaued" in res.reason
 
 
 def test_integrality_quartic_frozen():
-    res = walsh_integrality_check(monomial(3, 4, 4))
+    res = walsh_integrality_check(Analysis(monomial(3, 4, 4)))
     assert res.status == "pass"
     assert res.details["d"] == 4 and res.details["witness"] == 0
     assert res.details["distinct_values"] == [-27, 9, 81]
@@ -183,23 +184,23 @@ def test_integrality_quartic_frozen():
 
 
 def test_integrality_skip_paths():
-    assert walsh_integrality_check(monomial(2, 4, 3)).status == "skipped"
-    assert walsh_integrality_check(monomial(3, 3, 2)).status == "skipped"
-    assert walsh_integrality_check(random_table(3, 2, 2, 54)).status == "skipped"
+    assert walsh_integrality_check(Analysis(monomial(2, 4, 3))).status == "skipped"
+    assert walsh_integrality_check(Analysis(monomial(3, 3, 2))).status == "skipped"
+    assert walsh_integrality_check(Analysis(random_table(3, 2, 2, 54))).status == "skipped"
 
 
 def test_integrality_nonzero_witness():
     """Shifting the quartic moves the size-1 fiber off zero; the check must
     chase it and still pass."""
     shifted = monomial(3, 4, 4).shifted_output(7)
-    res = walsh_integrality_check(shifted)
+    res = walsh_integrality_check(Analysis(shifted))
     assert res.status == "pass"
     dist = preimage_distribution(shifted)
     assert dist.count_of(res.details["witness"]) == 1
 
 
 def test_apn_structure_cube_map_n6():
-    st, res = apn_structure(monomial(2, 6, 3))
+    st, res = apn_structure(Analysis(monomial(2, 6, 3)))
     assert res.status == "pass"
     assert st.as_dict() == {
         "n_f": 126,
@@ -223,7 +224,7 @@ def test_apn_structure_cube_map_n6():
 
 
 def test_apn_structure_odd_n_skips_even_only_facts():
-    st, res = apn_structure(monomial(2, 5, 3))
+    st, res = apn_structure(Analysis(monomial(2, 5, 3)))
     assert res.status == "pass"
     subs = {c["tag"]: c["status"] for c in res.details["checks"]}
     assert subs["kkk-imbalance"] == "pass"
@@ -234,32 +235,32 @@ def test_apn_structure_odd_n_skips_even_only_facts():
 
 
 def test_apn_structure_skips_non_apn():
-    _, res = apn_structure(random_table(2, 4, 4, 55))
+    _, res = apn_structure(Analysis(random_table(2, 4, 4, 55)))
     assert res.status == "skipped"
-    _, res = apn_structure(monomial(3, 3, 2))
+    _, res = apn_structure(Analysis(monomial(3, 3, 2)))
     assert res.status == "skipped"
-    _, res = apn_structure(monomial(2, 4, 3))
+    _, res = apn_structure(Analysis(monomial(2, 4, 3)))
     assert res.status == "pass"
 
 
 def test_diff_two_valued_cases():
-    res = check_diff_two_valued(monomial(2, 5, 3))
+    res = check_diff_two_valued(Analysis(monomial(2, 5, 3)))
     assert res.status == "pass"
     assert res.details["cases"] == [{"source": "single-amplitude", "t": 1}]
     assert res.details["delta"] == 2 and res.details["two_valued_at"] == 2
 
-    res = check_diff_two_valued(monomial(3, 4, 4))
+    res = check_diff_two_valued(Analysis(monomial(3, 4, 4)))
     assert res.status == "pass"
     assert res.details["cases"] == [{"source": "d-to-1", "t": 1}]
     assert res.details["delta"] == 3 and res.details["two_valued_at"] == 3
 
-    res = check_diff_two_valued(monomial(2, 8, 5))
+    res = check_diff_two_valued(Analysis(monomial(2, 8, 5)))
     assert res.status == "pass"
     assert res.details["cases"] == [{"source": "d-to-1", "t": 2}]
     assert res.details["delta"] == 4 and res.details["two_valued_at"] == 4
 
-    assert check_diff_two_valued(random_table(2, 4, 4, 56)).status == "skipped"
-    assert check_diff_two_valued(random_table(2, 4, 3, 57)).status == "skipped"
+    assert check_diff_two_valued(Analysis(random_table(2, 4, 4, 56))).status == "skipped"
+    assert check_diff_two_valued(Analysis(random_table(2, 4, 3, 57))).status == "skipped"
 
 
 def test_profile_thread_count_invariant():

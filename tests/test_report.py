@@ -1,15 +1,22 @@
 import json
 
 import numpy as np
+import pytest
 
+import plateau.report as report_mod
 from plateau.constructions import monomial
+from plateau.distribution import imbalance
 from plateau.domain import DomainParams, FuncTable
 from plateau.report import (
+    CHECKS,
     EXIT_FAIL,
     EXIT_PARTIAL,
     EXIT_PASS,
+    Analysis,
     AnalysisOptions,
+    Withheld,
     run_analysis,
+    run_check,
 )
 
 FULL = AnalysisOptions(with_profile=True, with_differential=True, with_checks=True)
@@ -159,3 +166,57 @@ def test_checks_off_by_default():
     assert "checks" not in report
     assert "profile" not in report
     assert "differential" not in report
+
+
+def test_analysis_computes_each_artifact_once(monkeypatch):
+    calls = {}
+
+    def counting(name):
+        orig = getattr(report_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(report_mod, name, wrapper)
+
+    for name in ("preimage_distribution", "imbalance", "classify_almost_balanced",
+                 "component_profile", "diff_summary"):
+        counting(name)
+    report, code = run_analysis(monomial(2, 4, 3), FULL)
+    assert code == EXIT_PASS
+    assert calls == dict.fromkeys(calls, 1) and len(calls) == 5
+
+
+def test_analysis_withholds_over_budget_artifacts():
+    tbl = random_table(2, 6, 6, 106)
+    an = Analysis(tbl, AnalysisOptions(max_profile_log=11, max_table_log=12))
+    with pytest.raises(Withheld, match="component profile over budget"):
+        an.profile()
+    assert an.diff().delta >= 2
+    an = Analysis(tbl, AnalysisOptions(zero_column_only=True))
+    with pytest.raises(Withheld, match="difference table over budget"):
+        an.diff()
+    assert an.n_f == imbalance(tbl)
+    assert Analysis(random_table(2, 2, 5, 107)).n_f is None
+
+
+def test_registry_turns_withheld_into_partial_skip():
+    an = Analysis(monomial(2, 4, 3), AnalysisOptions(max_table_log=6))
+    skipped = []
+    res = run_check(an, "apn-structure", skipped)
+    assert (res.status, res.reason) == ("skipped", "difference table over budget")
+    assert skipped == ["check:apn-structure"]
+    # a failing hypothesis skips for its own reason, whatever the budget
+    low = AnalysisOptions(max_profile_log=4, max_table_log=4)
+    for tbl, tag in (
+        (monomial(3, 4, 2), "apn-structure"),
+        (monomial(3, 4, 2), "integrality"),
+        (random_table(2, 6, 3, 108), "diff-two-valued"),
+    ):
+        res = run_check(Analysis(tbl, low), tag, skipped)
+        assert res.status == "skipped" and "over budget" not in res.reason
+    assert skipped == ["check:apn-structure"]
+    assert tuple(CHECKS) == (
+        "platdto1", "integrality", "ab-walsh", "apn-structure", "diff-two-valued"
+    )

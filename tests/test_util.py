@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from plateau._util import ceil_div, exact_sum, run_ordered, thread_count
+from plateau._util import ceil_div, exact_square_sum, exact_sum, run_ordered, thread_count
 from plateau.verdict import CheckResult, combine
 
 
@@ -102,3 +102,32 @@ def test_as_dict_is_json_ready():
     assert back["details"]["arr"] == [1, 2]
     assert back["details"]["nested"]["flag"] is True
     assert back["details"]["pair"] == [1, "two"]
+
+
+def test_exact_square_sum_at_the_bit_bounds():
+    # |x| = 2^k has square 2^(2k), bound 2k + 1 bits, up to 2^62 (63 bits)
+    for k in range(32):
+        arr = np.array([1 << k, -(1 << k)] * 3, dtype=np.int64)
+        want = sum(int(v) * int(v) for v in arr.tolist())
+        assert exact_square_sum(arr, 2 * k + 1) == want == 6 << (2 * k)
+    # the largest magnitude whose square fits int64
+    top = 3037000499
+    assert top * top < 1 << 63 < (top + 1) ** 2
+    arr = np.array([top, -top, top, 5], dtype=np.int64)
+    assert exact_square_sum(arr, 63) == sum(int(v) ** 2 for v in arr.tolist())
+    assert exact_square_sum(np.array([], dtype=np.int64), 10) == 0
+    with pytest.raises(ValueError):
+        exact_square_sum(arr, 64)
+
+
+def test_exact_square_sum_widens_narrow_dtypes_across_chunks():
+    # int16 -2^15 squares to 2^30, which int16 and int32 products overflow;
+    # 2^20 + 5 entries span two 2^20-entry chunks
+    count = (1 << 20) + 5
+    arr = np.full(count, -(1 << 15), dtype=np.int16)
+    assert exact_square_sum(arr, 31) == count << 30
+    rng = np.random.default_rng(92)
+    mixed = rng.integers(-(2**15), 2**15, size=count).astype(np.int32)
+    want = sum(int(v) * int(v) for v in mixed.tolist())
+    assert exact_square_sum(mixed, 31) == want
+    assert exact_square_sum(mixed.reshape(3, -1), 31) == want

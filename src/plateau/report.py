@@ -83,28 +83,16 @@ class Withheld(Exception):
     """A budget or zero_column_only withholds an artifact; str() is the reason."""
 
 
-# artifact -> (cost of computing it for a shape, option bounding log2 of the
-# cost, reason when withheld)
-_BUDGETS = {
-    "profile": (
-        lambda pr: pr.domain_size * pr.codomain_size,
-        "max_profile_log",
-        "component profile over budget",
-    ),
-    "diff": (
-        lambda pr: pr.domain_size * pr.domain_size,
-        "max_table_log",
-        "difference table over budget",
-    ),
-}
-
-
 def require_budget(params: DomainParams, opts: AnalysisOptions, artifact: str) -> None:
     """The one budget rule: raise Withheld unless `artifact` ("profile" or
     "diff") may be computed for a table of this shape."""
-    cost, option, reason = _BUDGETS[artifact]
-    if opts.zero_column_only or cost(params) > 1 << getattr(opts, option):
-        raise Withheld(reason)
+    pn = params.domain_size
+    if artifact == "profile":
+        cost, log, what = pn * params.codomain_size, opts.max_profile_log, "component profile"
+    else:
+        cost, log, what = pn * pn, opts.max_table_log, "difference table"
+    if opts.zero_column_only or cost > 1 << log:
+        raise Withheld(f"{what} over budget")
 
 
 class Analysis:

@@ -27,11 +27,11 @@ def test_check_theorem_matches_analyze(results, budget):
     of `analyze FILE --all` under the same budgets, on every corpus table."""
     mismatches = []
     for table in regen.TABLES:
-        code, data = results[f"{table} analyze --all [{budget}]"]
+        _, data = results[f"{table} analyze --all [{budget}]"]
         by_tag = {c["tag"]: c for c in json.loads(data)["checks"]}
         assert tuple(by_tag) == regen.FILE_TAGS
         for tag in regen.FILE_TAGS:
-            _, verdict = results[f"{table} check-theorem {tag} [{budget}]"]
-            if json.loads(verdict) != by_tag[tag]:
-                mismatches.append((table, tag, json.loads(verdict)["reason"], by_tag[tag]["reason"]))
+            verdict = json.loads(results[f"{table} check-theorem {tag} [{budget}]"][1])
+            if verdict != by_tag[tag]:
+                mismatches.append((table, tag, verdict["reason"], by_tag[tag]["reason"]))
     assert not mismatches, mismatches

@@ -72,7 +72,7 @@ from .plateaued import (
 )
 from .report import AnalysisOptions, run_analysis
 from .verdict import CheckResult, combine
-from .walsh import WalshRow, ZeroColumn, spectrum_rows, walsh_point, walsh_row, zero_column
+from .walsh import WalshVector, spectrum_rows, walsh_point, walsh_row, zero_column
 
 __version__ = "1.0.0"
 
@@ -97,8 +97,7 @@ __all__ = [
     "PreimageDist",
     "ShiftSearchResult",
     "SurjectivityReport",
-    "WalshRow",
-    "ZeroColumn",
+    "WalshVector",
     "ab_walsh_consequences",
     "apn_structure",
     "check_diff_two_valued",

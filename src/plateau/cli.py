@@ -2,7 +2,8 @@
 
 Subcommands: analyze (report JSON), construct (build tables from a small
 key=value DSL), spectrum (full Walsh dump as CSV), check-theorem (run one
-named structure check), bench (median-of-N kernel timings as CSV).
+named structure check).  Kernel and end-to-end timings live outside the
+package, in perfbench/run.py and perfbench/summary.py.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 usage or input parse error, 3 a requested section was skipped (resource
@@ -13,13 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .constructions import (
     check_gold,
@@ -31,11 +28,10 @@ from .constructions import (
     mm_pi_phi,
     monomial,
 )
-from .differential import ddt_rows, diff_summary
-from .domain import DomainParams, FuncTable
+from .differential import ddt_rows
+from .domain import FuncTable
 from .errors import BudgetError, ConstructionError, FileFormatError
 from .fileio import format_text, parse_function_file, write_function_file
-from .plateaued import component_profile
 from .report import (
     CHECKS,
     EXIT_FAIL,
@@ -49,7 +45,7 @@ from .report import (
     run_analysis,
     run_check,
 )
-from .walsh import _p2_dtype, fwht_last_axis, spectrum_rows, zero_column
+from .walsh import spectrum_rows
 
 _FILE_TAGS = tuple(CHECKS)
 _ARG_TAGS = ("gold", "mm1", "mm2")
@@ -237,7 +233,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         except Withheld:
             if code != EXIT_FAIL:
                 code = EXIT_PARTIAL
-                report["skipped"] = sorted({*report.get("skipped", ()), "ddt_csv"})
+            report["skipped"] = sorted({*report.get("skipped", ()), "ddt_csv"})
         else:
             _write_ddt_csv(table, args.ddt_full)
             report["ddt_csv"] = args.ddt_full
@@ -268,20 +264,13 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
             f"raise --max-profile-log to proceed\n"
         )
         return EXIT_PARTIAL
-    lines: list[str] = []
-    if pr.p == 2:
-        lines.append("b,a,w\n")
-        for row in spectrum_rows(table):
-            lines.extend(
-                f"{row.b},{a},{int(v)}\n" for a, v in enumerate(row.data.tolist())
-            )
-    else:
-        header = ",".join(f"c{k}" for k in range(pr.p - 1))
-        lines.append(f"b,a,{header}\n")
-        for row in spectrum_rows(table):
-            canon = row.data[:, : pr.p - 1] - row.data[:, pr.p - 1 :]
-            for a, cs in enumerate(canon.tolist()):
-                lines.append(f"{row.b},{a}," + ",".join(map(str, cs)) + "\n")
+    header = "w" if pr.p == 2 else ",".join(f"c{k}" for k in range(pr.p - 1))
+    lines = [f"b,a,{header}\n"]
+    for b, row in enumerate(spectrum_rows(table)):
+        lines.extend(
+            f"{b},{a},{','.join(map(str, cs))}\n"
+            for a, cs in enumerate(row.basis_coords().tolist())
+        )
     _emit("".join(lines), args.output)
     return EXIT_PASS
 
@@ -328,45 +317,6 @@ def _cmd_check_theorem(args: argparse.Namespace) -> int:
         )
     _emit_json(cr.as_dict(), args.output)
     return _status_exit(cr.status)
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-def _bench_once(kind: str, size: int, rng: np.random.Generator) -> float:
-    if kind == "wht":
-        # the dtype every p = 2 transform of a size-`size` table runs in
-        arr = (1 - 2 * rng.integers(0, 2, size=1 << size)).astype(_p2_dtype(size))
-        t0 = time.perf_counter()
-        fwht_last_axis(arr)
-        return time.perf_counter() - t0
-    vals = rng.integers(0, 1 << size, size=1 << size).astype(np.int64)
-    table = FuncTable(DomainParams(2, size, size), vals)
-    if kind == "zero-column":
-        t0 = time.perf_counter()
-        zc = zero_column(table)
-        zc.sq_sum_nonzero()
-        return time.perf_counter() - t0
-    if kind == "profile":
-        t0 = time.perf_counter()
-        component_profile(table)
-        return time.perf_counter() - t0
-    if kind == "ddt":
-        t0 = time.perf_counter()
-        diff_summary(table)
-        return time.perf_counter() - t0
-    raise FileFormatError(f"unknown bench kind {kind!r}")
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    times = [_bench_once(args.kind, args.size, rng) for _ in range(args.runs)]
-    line = "kind,size,runs,median_seconds,min_seconds,max_seconds\n" + (
-        f"{args.kind},{args.size},{args.runs},"
-        f"{statistics.median(times):.6f},{min(times):.6f},{max(times):.6f}\n"
-    )
-    _emit(line, args.output)
-    return EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +393,6 @@ def _parser() -> argparse.ArgumentParser:
     budgets(pt)
     pt.add_argument("-o", "--output", help="write the verdict JSON here")
     pt.set_defaults(fn=_cmd_check_theorem)
-
-    pb = sub.add_parser("bench", help="time a kernel, CSV to stdout")
-    pb.add_argument("kind", help="wht | zero-column | profile | ddt")
-    pb.add_argument("size", type=int, help="log2 of the domain size (p = 2)")
-    pb.add_argument("--runs", type=int, default=5, help="timed repetitions (default 5)")
-    pb.add_argument("--seed", type=int, default=0, help="RNG seed for the input table")
-    pb.add_argument("-o", "--output", help="output file (default stdout)")
-    pb.set_defaults(fn=_cmd_bench)
 
     return top
 

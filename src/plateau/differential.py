@@ -16,9 +16,10 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ._util import exact_sum
+from .cyclotomic import CycInt
 from .domain import FuncTable, vec_add_array, vec_sub_arrays
 from .errors import InternalCheckError
-from .walsh import _sq_mod_coeffs, walsh_row, walsh_rows_signs_p2
+from .walsh import walsh_row, walsh_rows_signs_p2
 
 # chunk of input differences processed per batch; the scratch matrix is
 # chunk * p^n entries, kept near 4M
@@ -139,53 +140,28 @@ def _diff_sq_sum_all(table: FuncTable) -> int:
     return total
 
 
-def _walsh_fourth_sum_all(table: FuncTable) -> int:
-    """Direct spectral sum of |W(b,a)|^4 over every (b, a); cross-check path."""
+def _walsh_fourth_sum_all(table: FuncTable) -> "int | CycInt":
+    """Direct spectral sum of |W(b,a)|^4 over every (b, a); cross-check path.
+
+    A single row's sum can be a non-rational element of Z[zeta_p] at p >= 5;
+    only the sum over every b is a rational integer, so the total is an exact
+    ring element that equals the differential side when the code is right.
+    """
     pr = table.params
-    p, n = pr.p, pr.n
-    if p == 2:
-        if 4 * n + 1 <= 62:
-            total = 0
-            step = max(1, _SCRATCH // pr.domain_size)
-            for lo in range(0, pr.codomain_size, step):
-                bs = np.arange(lo, min(lo + step, pr.codomain_size), dtype=np.int64)
-                rows = walsh_rows_signs_p2(table, bs).astype(np.int64)
-                sq = rows * rows
-                total += exact_sum(sq * sq, 4 * n + 1)
-            return total
+    n = pr.n
+    if pr.p == 2 and 4 * n + 1 <= 62:
         total = 0
-        for b in range(pr.codomain_size):
-            row = walsh_row(table, b)
-            total += sum(int(v) ** 4 for v in row.data.tolist())
+        step = max(1, _SCRATCH // pr.domain_size)
+        for lo in range(0, pr.codomain_size, step):
+            bs = np.arange(lo, min(lo + step, pr.codomain_size), dtype=np.int64)
+            rows = walsh_rows_signs_p2(table, bs).astype(np.int64)
+            sq = rows * rows
+            total += exact_sum(sq * sq, 4 * n + 1)
         return total
-    if p ** (4 * n + 3) < 1 << 62:
-        sums = [0] * p
-        for b in range(pr.codomain_size):
-            row = walsh_row(table, b)
-            sq = _sq_mod_coeffs(row.data)
-            quad = _ring_sq_matrix(sq)
-            bits = (p ** (4 * n + 3)).bit_length()
-            for k in range(p):
-                sums[k] += exact_sum(quad[:, k], bits)
-        if any(sums[k] != sums[1] for k in range(2, p)):
-            raise InternalCheckError(f"fourth-moment sum is not rational: {sums}")
-        return sums[0] - sums[1]
-    total = 0
-    for b in range(pr.codomain_size):
-        for w in walsh_row(table, b).values():
-            m2 = w.sq_modulus()
-            total += (m2 * m2).as_integer()
-    return total
-
-
-def _ring_sq_matrix(mat: np.ndarray) -> np.ndarray:
-    """Exponent coefficients of the ring square of each row."""
-    p = mat.shape[1]
-    rev = mat[:, ::-1]
-    out = np.empty_like(mat)
-    for k in range(p):
-        out[:, k] = (mat * np.roll(rev, k + 1, axis=1)).sum(axis=1)
-    return out
+    # |W|^2 is real, so the squared modulus of |W|^2 is |W|^4
+    return sum(
+        walsh_row(table, b).sq_moduli().sq_total() for b in range(pr.codomain_size)
+    )
 
 
 def fourth_moment(table: FuncTable, verify_walsh_side: Optional[bool] = None) -> FourthMoment:

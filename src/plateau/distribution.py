@@ -74,8 +74,9 @@ def imbalance(table: FuncTable, dist: Optional[PreimageDist] = None) -> int:
     if dist is None:
         dist = preimage_distribution(table)
     pm = pr.codomain_size
-    sq = zero_column(table, dist.counts).sq_sum_nonzero()
-    if sq % pm:
+    # W(0, 0) = p^n, so dropping b = 0 is exact
+    sq = zero_column(table, dist.counts).sq_total() - pr.p ** (2 * pr.n)
+    if not isinstance(sq, int) or sq % pm:
         raise InternalCheckError(f"sum of squared zero-column moduli {sq} not divisible by p^m")
     from_walsh = sq // pm
     from_sizes = dist.sum_sq_sizes() - pr.p ** (2 * pr.n - pr.m)
@@ -263,25 +264,16 @@ def ab_walsh_consequences(an: "Analysis") -> CheckResult:
         return CheckResult.skipped(tag, "function is not almost balanced")
     assert ab.witness is not None
     shifted = an.table if ab.witness == 0 else an.table.shifted_output(ab.witness)
-    zc = zero_column(shifted)
+    rational, ints = zero_column(shifted).integers()
     pm = pr.codomain_size
     problems: list[str] = []
-    if pr.p == 2:
-        tail = zc.data[1:]
-        common = int(tail[0])
-        if not bool(np.all(tail == tail[0])):
-            problems.append("zero-column values differ across b != 0")
+    if not bool(rational[1:].all()):
+        problems.append("some W(b,0) is not a rational integer")
+        common = 0
     else:
-        rows = zc.data[1:]
-        rational = np.all(rows[:, 1:] == rows[:, 1:2], axis=1)
-        if not bool(rational.all()):
-            problems.append("some W(b,0) is not a rational integer")
-            common = 0
-        else:
-            ints = rows[:, 0] - rows[:, 1]
-            common = int(ints[0])
-            if not bool(np.all(ints == ints[0])):
-                problems.append("zero-column values differ across b != 0")
+        common = int(ints[1])
+        if not bool(np.all(ints[1:] == common)):
+            problems.append("zero-column values differ across b != 0")
     if not problems:
         if common == 0:
             problems.append("common W(b,0) is zero")

@@ -155,7 +155,7 @@ def _profile_one_odd(table: FuncTable, b: int) -> tuple[int, bool, int, bool]:
     pr = table.params
     p = pr.p
     row = walsh_row(table, b)
-    rational, sq = row.sq_modulus_profile()
+    rational, sq = row.sq_moduli().integers()
     all_rat = bool(rational.all())
     vmax = int(sq.max())
     t_val = -1
@@ -360,16 +360,13 @@ def walsh_integrality_check(an: "Analysis") -> CheckResult:
         return CheckResult.skipped(tag, f"needs d > 2, got d = {d}")
     witness = int(np.nonzero(dist.counts == 1)[0][0])
     shifted = an.table if witness == 0 else an.table.shifted_output(witness)
-    zc = zero_column(shifted)
-    rows = zc.data
-    rational = np.all(rows[:, 1:] == rows[:, 1:2], axis=1)
+    rational, ints = zero_column(shifted).integers()
     problems = []
     values: list[int] = []
     if not bool(rational.all()):
         bad = int(np.argmin(rational))
         problems.append(f"W({bad},0) is not a rational integer")
     else:
-        ints = rows[:, 0] - rows[:, 1]
         values = sorted(set(int(v) for v in ints.tolist()))
         off = (ints - 1) % d != 0
         if bool(off.any()):

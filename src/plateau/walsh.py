@@ -14,7 +14,12 @@ int64 while n <= 62, BudgetError beyond.
 Odd-p intermediate values live in (size, p) int64 matrices of exponent
 coefficients — entry [i, k] is the coefficient of zeta^k before
 canonicalization — so multiplying by zeta^s is a cyclic shift along the last
-axis; CycInt objects are materialized on access.
+axis.
+
+Rows and the zero column are returned as WalshVector, the one type that
+knows this layout and the p = 2 / odd-p split: callers ask it for values
+(int or CycInt), rational integers, squared moduli, exact sums, support
+counts and basis coordinates, and never index its storage.
 
 The zero column W_F(b, 0) over all b depends only on the value distribution
 and is computed as the length-p^m transform of the preimage count vector,
@@ -33,7 +38,7 @@ import numpy as np
 from ._util import exact_square_sum, exact_sum
 from .cyclotomic import CycInt
 from .domain import DomainParams, FuncTable, dot, dot_array
-from .errors import BudgetError, InternalCheckError
+from .errors import BudgetError
 
 
 def component_values(table: FuncTable, b: int) -> np.ndarray:
@@ -187,80 +192,104 @@ def _guard_int64(p: int, n: int) -> None:
         raise BudgetError(f"odd-p spectra at p={p}, n={n} exceed the int64 budget")
 
 
-def _canonical_int_from_coeff_sums(p: int, sums: list[int], what: str) -> int:
-    if any(sums[k] != sums[1] for k in range(2, p)):
-        raise InternalCheckError(f"{what} is not a rational integer: {sums}")
-    return sums[0] - sums[1]
-
-
 # ---------------------------------------------------------------------------
 
-class WalshRow:
-    """One spectrum row W_F(b, ·) with exact accessors."""
+class WalshVector:
+    """Exact Walsh values along one axis: a spectrum row W_F(b, ·) or the
+    zero column W_F(·, 0).
 
-    __slots__ = ("p", "n", "b", "data")
+    Every value is a sum of p^n p-th roots of unity (|W|^2 of a vector at n
+    is one at 2n).  The storage layout is private to this class: a 1-D
+    integer array at p = 2, an (N, p) matrix of exponent coefficients for
+    odd p.  Only basis_coords and sq_moduli read it; every other accessor
+    works on the basis coordinates.  Squares and squared moduli stay in int64
+    while _fits_int64 says so and switch to Python ints (object arrays)
+    beyond.
+    """
 
-    def __init__(self, p: int, n: int, b: int, data: np.ndarray):
+    __slots__ = ("p", "n", "data")
+
+    def __init__(self, p: int, n: int, data: np.ndarray):
         self.p = p
         self.n = n
-        self.b = b
         self.data = data
 
-    def value(self, a: int) -> "int | CycInt":
+    def basis_coords(self) -> np.ndarray:
+        """(N, p - 1) coordinates on the basis 1, zeta, ..., zeta^(p-2); one
+        column holding the value itself at p = 2."""
         if self.p == 2:
-            return int(self.data[a])
-        return CycInt.from_exponent_coeffs(self.p, self.data[a].tolist())
+            return self.data.reshape(-1, 1)
+        return self.data[:, : self.p - 1] - self.data[:, self.p - 1 :]
 
-    def values(self) -> list:
+    def _fits_int64(self) -> bool:
+        """Whether a square (p = 2) or a squared-modulus coefficient (odd p),
+        at most p^(2n), fits int64 with the headroom the exact sums use."""
         if self.p == 2:
-            return [int(v) for v in self.data.tolist()]
-        return [CycInt.from_exponent_coeffs(self.p, row) for row in self.data.tolist()]
+            return 2 * self.n + 1 <= 63
+        return self.p ** (2 * self.n + 3) < 1 << 62
 
-    def sq_modulus_profile(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rational_mask, sq) with sq[i] = |W(b,i)|^2 where rational, else 0.
-
-        For odd p a squared modulus can be a non-rational element of
-        Z[zeta_p]; such entries are reported False in the mask.
-        """
+    def sq_moduli(self) -> "WalshVector":
+        """The vector of |v_i|^2, exact; for odd p an entry can be a
+        non-rational element of Z[zeta_p]."""
+        wide = self.data.astype(np.int64 if self._fits_int64() else object, copy=False)
         if self.p == 2:
-            sq = self.data.astype(np.int64) ** 2
-            return np.ones(sq.shape, dtype=bool), sq
-        m = _sq_mod_coeffs(self.data)
-        rational = np.all(m[:, 1:] == m[:, 1:2], axis=1)
-        sq = m[:, 0] - m[:, 1]
-        sq[~rational] = 0
-        return rational, sq
+            return WalshVector(2, 2 * self.n, wide * wide)
+        return WalshVector(self.p, 2 * self.n, _sq_mod_coeffs(wide))
 
-    def parseval_sum(self) -> int:
-        """Sum of |W(b,a)|^2 over a, exact; equals p^(2n) for any input."""
-        if self.p == 2:
+    def sq_total(self) -> "int | CycInt":
+        """Sum of |v_i|^2, exact; a Python int when rational (always for a
+        spectrum row, p^(2n) by Parseval, and for the zero column)."""
+        if self.p == 2 and self._fits_int64():
+            # squared in 2^20-entry chunks, never widening the whole vector
             return exact_square_sum(self.data, 2 * self.n + 1)
-        m = _sq_mod_coeffs(self.data)
-        bits = (self.p ** (2 * self.n + 1)).bit_length()
-        sums = [exact_sum(m[:, k], bits) for k in range(self.p)]
-        return _canonical_int_from_coeff_sums(self.p, sums, "Parseval sum")
+        return self.sq_moduli().total()
+
+    def total(self) -> "int | CycInt":
+        """Sum of the values, exact: a Python int when rational, else a
+        CycInt.  For the zero column it is p^m * |F^{-1}(0)|."""
+        coords = self.basis_coords()
+        bits = (self.p ** self.n).bit_length() + 1
+        v = CycInt(self.p, [exact_sum(coords[:, k], bits) for k in range(self.p - 1)])
+        return v.coeffs[0] if v.is_rational() else v
+
+    def integers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rational, ints): rational[i] says entry i is a rational integer,
+        ints[i] is its value there and 0 elsewhere.  At p = 2 ints is a view
+        of the stored values, so callers must not write to it."""
+        coords = self.basis_coords()
+        rational = ~np.any(coords[:, 1:], axis=1)
+        ints = coords[:, 0]
+        ints[~rational] = 0
+        return rational, ints
 
     def support_count(self) -> int:
-        """Number of a with W(b,a) != 0."""
-        if self.p == 2:
-            return int(np.count_nonzero(self.data))
-        zero = np.all(self.data == self.data[:, :1], axis=1)
-        return int(self.data.shape[0] - np.count_nonzero(zero))
+        """Number of nonzero entries."""
+        return int(np.count_nonzero(np.any(self.basis_coords(), axis=1)))
+
+    def value(self, i: int) -> "int | CycInt":
+        """Entry i: an int at p = 2, a CycInt for odd p."""
+        return WalshVector(self.p, self.n, self.data[[i]]).values()[0]
+
+    def values(self) -> list:
+        return [self._element(c) for c in self.basis_coords().tolist()]
+
+    def _element(self, coords: list) -> "int | CycInt":
+        return coords[0] if self.p == 2 else CycInt(self.p, coords)
 
     def __len__(self) -> int:
         return int(self.data.shape[0])
 
 
-def walsh_row(table: FuncTable, b: int) -> WalshRow:
+def walsh_row(table: FuncTable, b: int) -> WalshVector:
     """Full spectrum row for output mask b via fast butterflies."""
     pr = table.params
     p, n = pr.p, pr.n
     if p == 2:
-        return WalshRow(2, n, b, _sign_transform(component_values(table, b), n))
+        return WalshVector(2, n, _sign_transform(component_values(table, b), n))
     _guard_int64(p, n)
     evec = component_values(table, b)
     mat = _exponent_one_hot(evec, p)
-    return WalshRow(p, n, b, dft_p_axes(mat, p, n, sign=-1))
+    return WalshVector(p, n, dft_p_axes(mat, p, n, sign=-1))
 
 
 def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
@@ -278,52 +307,7 @@ def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
     return _sign_transform(fb, pr.n)
 
 
-class ZeroColumn:
-    """The vector W_F(b, 0) over all output masks b."""
-
-    __slots__ = ("p", "n", "m", "data")
-
-    def __init__(self, p: int, n: int, m: int, data: np.ndarray):
-        self.p = p
-        self.n = n
-        self.m = m
-        self.data = data
-
-    def value(self, b: int) -> "int | CycInt":
-        if self.p == 2:
-            return int(self.data[b])
-        return CycInt.from_exponent_coeffs(self.p, self.data[b].tolist())
-
-    def values(self) -> list:
-        if self.p == 2:
-            return [int(v) for v in self.data.tolist()]
-        return [CycInt.from_exponent_coeffs(self.p, row) for row in self.data.tolist()]
-
-    def sum_all(self) -> int:
-        """Sum of W(b,0) over every b; equals p^m * |F^{-1}(0)| exactly."""
-        bits = (self.p ** self.n).bit_length() + 1
-        if self.p == 2:
-            return exact_sum(self.data, bits)
-        sums = [exact_sum(self.data[:, k], bits) for k in range(self.p)]
-        return _canonical_int_from_coeff_sums(self.p, sums, "zero-column sum")
-
-    def sq_sum_nonzero(self) -> int:
-        """Sum of |W(b,0)|^2 over b != 0, exact."""
-        if self.p == 2:
-            return exact_square_sum(self.data[1:], 2 * self.n + 1)
-        _guard_int64(self.p, self.n)
-        mat = self.data[1:]
-        bits = (self.p ** (2 * self.n + 1)).bit_length()
-        sums = []
-        for k in range(self.p):
-            sums.append(exact_sum((mat * np.roll(mat, k, axis=1)).sum(axis=1), bits))
-        return _canonical_int_from_coeff_sums(self.p, sums, "zero-column square sum")
-
-    def __len__(self) -> int:
-        return int(self.data.shape[0])
-
-
-def zero_column(table: FuncTable, counts: Optional[np.ndarray] = None) -> ZeroColumn:
+def zero_column(table: FuncTable, counts: Optional[np.ndarray] = None) -> WalshVector:
     """W_F(b, 0) for all b from the preimage counts: O(p^n + m * p^(m+1)).
 
     `counts` are the table's preimage counts (PreimageDist.counts) when the
@@ -342,14 +326,14 @@ def zero_column(table: FuncTable, counts: Optional[np.ndarray] = None) -> ZeroCo
     ):
         raise ValueError(f"counts are not the preimage counts of {table!r}")
     if p == 2:
-        return ZeroColumn(2, n, m, fwht_last_axis(counts.astype(_p2_dtype(n))))
+        return WalshVector(2, n, fwht_last_axis(counts.astype(_p2_dtype(n))))
     _guard_int64(p, n)
     mat = np.zeros((pr.codomain_size, p), dtype=np.int64)
     mat[:, 0] = counts
-    return ZeroColumn(p, n, m, dft_p_axes(mat, p, m, sign=+1))
+    return WalshVector(p, n, dft_p_axes(mat, p, m, sign=+1))
 
 
-def spectrum_rows(table: FuncTable) -> Iterator[WalshRow]:
+def spectrum_rows(table: FuncTable) -> Iterator[WalshVector]:
     """All rows in b-major order, including b = 0."""
     for b in range(table.params.codomain_size):
         yield walsh_row(table, b)

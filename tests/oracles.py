@@ -106,24 +106,31 @@ def ddt_table(p, n, m, vals):
     return rows
 
 
-def fourth_moment_restricted(p, n, m, vals):
-    """Sum over b != 0, all a, of |W(b, a)|^4 via direct summation.
+def fourth_power_sum(p, counts_seq):
+    """Sum of |w|^4 over Walsh values given by their exponent counts.
 
-    Individual terms can be irrational for p >= 5, so the sum is accumulated
-    as exponent counts and converted once at the end.
+    Terms, and even the sum over one spectrum row, can be irrational for
+    p >= 5, so the sum is accumulated in Z[zeta_p] as exponent counts and
+    only the total is converted to an integer.
     """
     total = [0] * p
-    for b in range(1, p**m):
-        for a in range(p**n):
-            c = walsh_counts(p, n, m, vals, b, a)
-            sq = sq_modulus_counts(c, p)
-            # |W|^2 is real, so its squared modulus is |W|^4
-            q4 = sq_modulus_counts(sq, p)
-            total = [t + u for t, u in zip(total, q4)]
+    for c in counts_seq:
+        sq = sq_modulus_counts(c, p)
+        # |W|^2 is real, so its squared modulus is |W|^4
+        q4 = sq_modulus_counts(sq, p)
+        total = [t + u for t, u in zip(total, q4)]
     val = rational_value(total, p)
     if val is None:
         raise AssertionError("sum of |W|^4 must be rational")
     return val
+
+
+def fourth_moment_restricted(p, n, m, vals):
+    """Sum over b != 0, all a, of |W(b, a)|^4 via direct summation."""
+    return fourth_power_sum(
+        p,
+        (walsh_counts(p, n, m, vals, b, a) for b in range(1, p**m) for a in range(p**n)),
+    )
 
 
 def cyclotomic_canonical_sympy(p, coeffs):

@@ -345,7 +345,7 @@ def _random_function_checks(problems, params, vals, where):
     table = FuncTable(params, vals)
     dist = preimage_distribution(table)
     zc = zero_column(table)
-    sq = zc.sq_sum_nonzero()
+    sq = zc.sq_total() - p ** (2 * n)
     _check(problems, sq % p**m == 0, f"{where}: zero-column square sum not divisible")
     from_walsh = sq // p**m
     from_sizes = dist.sum_sq_sizes() - p ** (2 * n - m)
@@ -375,7 +375,7 @@ def _random_function_checks(problems, params, vals, where):
         for b in range(1, p**m):
             _check(
                 problems,
-                walsh_row(table, b).parseval_sum() == target,
+                walsh_row(table, b).sq_total() == target,
                 f"{where}: Parseval violated at b = {b}",
             )
     fm = fourth_moment(table, verify_walsh_side=True)

@@ -115,6 +115,21 @@ def test_analyze_ddt_full(cube_file, tmp_path, capsys):
     assert total == 15 * 16
 
 
+def test_withheld_ddt_csv_is_listed_when_a_check_fails(tmp_path, capsys):
+    """x^5 over F_3^4 fails a check, so the exit code stays 1, and the CSV the
+    table budget withholds is still named under `skipped`."""
+    path = tmp_path / "x5.txt"
+    write_function_file(monomial(3, 4, 5), path)
+    dest = tmp_path / "d.csv"
+    code, out, _ = run(capsys, "analyze", str(path), "--all", "--ddt-full", str(dest),
+                       "--max-table-log", "6")
+    assert code == 1
+    report = json.loads(out)
+    assert report["skipped"] == ["ddt_csv", "differential"]
+    assert "ddt_csv" not in report
+    assert not dest.exists()
+
+
 def test_analyze_rejects_header_larger_than_file(tmp_path, capsys):
     # 2^40 entries cannot fit in a 4-byte body; refused before any allocation
     path = tmp_path / "huge.txt"
@@ -309,21 +324,6 @@ def test_check_theorem_usage_errors(cube_file, capsys):
     code, _, err = run(capsys, "check-theorem", "--paper-ref", "platdto1")
     assert code == 2 and "error:" in err
     code, _, _ = run(capsys, "check-theorem", "--paper-ref", "gold", "n=6")
-    assert code == 2
-
-
-def test_bench_csv_shape(capsys):
-    code, out, _ = run(capsys, "bench", "wht", "8", "--runs", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "kind,size,runs,median_seconds,min_seconds,max_seconds"
-    kind, size, runs, med, mn, mx = lines[1].split(",")
-    assert (kind, size, runs) == ("wht", "8", "2")
-    assert float(mn) <= float(med) <= float(mx)
-    for k in ("zero-column", "profile", "ddt"):
-        code, out, _ = run(capsys, "bench", k, "6", "--runs", "1")
-        assert code == 0, k
-    code, _, _ = run(capsys, "bench", "nope", "6")
     assert code == 2
 
 

@@ -2,8 +2,17 @@ import numpy as np
 
 import oracles as o
 from plateau.constructions import monomial
-from plateau.differential import ddt, ddt_row, ddt_rows, diff_summary, fourth_moment
+from plateau.cyclotomic import CycInt
+from plateau.differential import (
+    _walsh_fourth_sum_all,
+    ddt,
+    ddt_row,
+    ddt_rows,
+    diff_summary,
+    fourth_moment,
+)
 from plateau.domain import DomainParams, FuncTable
+from plateau.walsh import walsh_row
 
 
 def random_table(p, n, m, seed):
@@ -110,3 +119,28 @@ def test_fourth_moment_matches_oracle():
         fm = fourth_moment(tbl)
         assert fm.restricted == o.fourth_moment_restricted(p, n, m, list(tbl))
         assert fm.all_masks == fm.restricted + p ** (4 * n)
+
+
+def test_spectral_fourth_moment_past_the_int64_bound():
+    """(5, 6, 1) is the smallest odd-p table (by p^(n+m)) whose |W|^4 sums
+    leave int64.  Each row's sum is a non-rational element of Z[zeta_5]; only
+    the sum over every b is an integer, and it matches a sum accumulated in
+    Z[zeta_5] by the oracle."""
+    p, n, m = 5, 6, 1
+    tbl = random_table(p, n, m, 47)
+    rows = [walsh_row(tbl, b) for b in range(p**m)]
+    assert not rows[1].sq_moduli()._fits_int64()
+    assert walsh_row(random_table(p, n - 1, m, 47), 1).sq_moduli()._fits_int64()
+    assert any(isinstance(row.sq_moduli().sq_total(), CycInt) for row in rows)
+    want = o.fourth_power_sum(
+        p, (list(w.coeffs) + [0] for row in rows for w in row.values())
+    )
+    assert _walsh_fourth_sum_all(tbl) == want
+
+
+def test_spectral_fourth_moment_p2_past_the_batched_bound():
+    """At n = 16 the p = 2 fourth powers leave int64; per-row sums match
+    Python-int sums of the row values."""
+    tbl = random_table(2, 16, 1, 48)
+    want = sum(int(w) ** 4 for b in range(2) for w in walsh_row(tbl, b).values())
+    assert _walsh_fourth_sum_all(tbl) == want

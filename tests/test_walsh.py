@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as o
 from plateau.cyclotomic import CycInt
 from plateau.domain import DomainParams, FuncTable
 from plateau.errors import BudgetError
 from plateau.walsh import (
+    WalshVector,
     _p2_dtype,
     component_values,
     fwht_last_axis,
@@ -85,7 +88,7 @@ def test_parseval_sum_every_row():
         tbl = random_table(p, n, m, seed)
         for b in range(p**m):
             row = walsh_row(tbl, b)
-            assert row.parseval_sum() == p ** (2 * n)
+            assert row.sq_total() == p ** (2 * n)
             assert 0 < row.support_count() <= p**n
 
 
@@ -93,7 +96,7 @@ def test_sq_modulus_profile_matches_oracle():
     tbl = random_table(3, 3, 3, 10)
     vals = list(tbl)
     for b in (1, 5, 20):
-        rational, sq = walsh_row(tbl, b).sq_modulus_profile()
+        rational, sq = walsh_row(tbl, b).sq_moduli().integers()
         for a in range(27):
             want = o.rational_sq_modulus(o.walsh_counts(3, 3, 3, vals, b, a), 3)
             if want is None:
@@ -242,18 +245,82 @@ def test_zero_column_sums():
         vals = list(tbl)
         zc = zero_column(tbl)
         fiber0 = o.preimage_counts(p, n, m, vals)[0]
-        assert zc.sum_all() == p**m * fiber0
+        assert zc.total() == p**m * fiber0
         total = [0] * p
-        for b in range(1, p**m):
+        for b in range(p**m):
             c = o.walsh_counts(p, n, m, vals, b, 0)
             total = [t + u for t, u in zip(total, o.sq_modulus_counts(c, p))]
-        assert zc.sq_sum_nonzero() == o.rational_value(total, p)
+        assert zc.sq_total() == o.rational_value(total, p)
 
 
 def test_spectrum_rows_cover_all_masks_in_order():
     tbl = random_table(3, 2, 2, 18)
     rows = list(spectrum_rows(tbl))
-    assert [r.b for r in rows] == list(range(9))
-    for row in rows:
-        single = walsh_row(tbl, row.b)
+    assert len(rows) == 9
+    for b, row in enumerate(rows):
+        single = walsh_row(tbl, b)
         assert np.array_equal(row.data, single.data)
+
+
+# largest n per p for the property test: p^n <= 81 keeps walsh_point cheap
+_MAX_N = {2: 6, 3: 4, 5: 2, 7: 2}
+
+
+@st.composite
+def tables_and_masks(draw):
+    p = draw(st.sampled_from(sorted(_MAX_N)))
+    n = draw(st.integers(1, _MAX_N[p]))
+    m = draw(st.integers(1, 2))
+    pr = DomainParams(p, n, m)
+    size = pr.domain_size
+    vals = draw(st.lists(st.integers(0, pr.codomain_size - 1), min_size=size, max_size=size))
+    return FuncTable(pr, vals), draw(st.integers(0, pr.codomain_size - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables_and_masks())
+def test_walsh_vector_matches_walsh_point(case):
+    """Every accessor of a row and of the zero column, entry by entry against
+    walsh_point and CycInt arithmetic."""
+    tbl, b = case
+    pr = tbl.params
+    p = pr.p
+    vectors = (
+        (walsh_row(tbl, b), [walsh_point(tbl, b, a) for a in range(pr.domain_size)]),
+        (zero_column(tbl), [walsh_point(tbl, c, 0) for c in range(pr.codomain_size)]),
+    )
+    for vec, want in vectors:
+        assert vec.values() == want
+        coords = [[w] if p == 2 else list(w.coeffs) for w in want]
+        assert vec.basis_coords().tolist() == coords
+        rational, ints = vec.integers()
+        for i, w in enumerate(want):
+            is_int = p == 2 or w.is_rational()
+            assert bool(rational[i]) == is_int
+            assert int(ints[i]) == (int(w) if p == 2 else w.as_integer() if is_int else 0)
+        sq_want = [w * w if p == 2 else w.sq_modulus() for w in want]
+        sq = vec.sq_moduli()
+        assert sq.values() == sq_want
+        assert vec.sq_total() == sum(sq_want)
+        # |W|^2 is real, so its ring square is |W|^4
+        assert sq.sq_total() == sum(s * s for s in sq_want)
+        assert vec.total() == sum(want)
+        assert vec.support_count() == sum(1 for w in want if w != 0)
+    assert vectors[0][0].sq_total() == p ** (2 * pr.n)
+
+
+def test_p2_fourth_powers_past_int64():
+    """At n = 16 the square of a +-2^16 entry fits int64 but its fourth power
+    2^64 does not; the sums match Python-int sums."""
+    rng = np.random.default_rng(21)
+    data = ((1 - 2 * rng.integers(0, 2, size=4096)) << 16).astype(_p2_dtype(16))
+    data[::7] = 0
+    vec = WalshVector(2, 16, data)
+    ints = [int(x) for x in data.tolist()]
+    assert vec.sq_total() == sum(x * x for x in ints)
+    sq = vec.sq_moduli()
+    assert sq.values() == [x * x for x in ints]
+    assert not sq._fits_int64()
+    assert sq.sq_total() == sum(x**4 for x in ints) == 3510 << 64
+    assert sq.total() == sum(x * x for x in ints)
+    assert vec.support_count() == 3510

@@ -44,20 +44,29 @@ def ddt_rows(table: FuncTable, include_zero: bool = False) -> Iterator[tuple[int
     hold references across iterations (copy if needed).
     """
     pr = table.params
+    p, n = pr.p, pr.n
     pn, pm = pr.domain_size, pr.codomain_size
     start = 0 if include_zero else 1
     chunk = max(1, _SCRATCH // pn)
     xs = np.arange(pn, dtype=np.int64)
+    # odd p: viewed as (chunk, p, ..., p), the index of x + c is the sum over
+    # digits k of ((x_k + c_k) % p) * p^k, and x_k varies only along axis
+    # n - k, so each digit is one broadcast (chunk, p) term added in place
+    digit = np.arange(p, dtype=np.int64)
+    powers = p ** np.arange(n, dtype=np.int64)
     for lo in range(start, pn, chunk):
         cs = np.arange(lo, min(lo + chunk, pn), dtype=np.int64)
-        if pr.p == 2:
+        if p == 2:
             shifted = table.values[xs[None, :] ^ cs[:, None]]
             diffs = shifted ^ table.values[None, :]
         else:
-            idx = np.empty((cs.shape[0], pn), dtype=np.int64)
-            for k, c in enumerate(cs.tolist()):
-                idx[k] = vec_add_array(xs, c, pr.p, pr.n)
-            diffs = vec_sub_arrays(table.values[idx], table.values[None, :], pr.p, pr.m)
+            idx = np.zeros((cs.shape[0],) + (p,) * n, dtype=np.int64)
+            c_digits = (cs[:, None] // powers) % p
+            for k in range(n):
+                term = (c_digits[:, k, None] + digit) % p * powers[k]
+                idx += term.reshape((-1,) + (1,) * (n - 1 - k) + (p,) + (1,) * k)
+            idx = idx.reshape(-1, pn)
+            diffs = vec_sub_arrays(table.values[idx], table.values[None, :], p, pr.m)
         flat = diffs + (np.arange(cs.shape[0], dtype=np.int64) * pm)[:, None]
         rows = np.bincount(flat.reshape(-1), minlength=cs.shape[0] * pm)
         rows = rows.reshape(cs.shape[0], pm)

@@ -2,9 +2,11 @@
 
 A component <b, F> is plateaued with parameter t when every squared Walsh
 modulus lies in {0, p^(n+t)}; t = 0 is bent.  Membership is decided on exact
-integers (power-of-p tests, never logarithms).  A balanced component is
-decided from the component's value distribution, not from W(b,0) alone, since
-the two coincide only for p = 2.
+integers (power-of-p tests, never logarithms).  A component <b, F> is balanced
+exactly when W(b, 0) = 0, for every prime p: W(b, 0) = sum_k N_k zeta^k with
+N_k = #{x : <b, F(x)> = k}, and since 1 + zeta + ... + zeta^(p-1) is the
+minimal polynomial of zeta, that sum is 0 only when all the N_k are equal.
+So balance is read off the row at a = 0, in exact arithmetic.
 
 Every named check returns a CheckResult instead of assuming its hypotheses:
 hypothesis mismatches are "skipped", violated conclusions are "fail" with the
@@ -26,7 +28,7 @@ from ._util import exact_sum, run_ordered, thread_count
 # wraps them under these names
 from .differential import diff_summary
 from .distribution import PreimageDist, preimage_distribution
-from .domain import DomainParams, FuncTable, dot_array
+from .domain import DomainParams, FuncTable
 from .errors import InternalCheckError
 from .verdict import CheckResult, combine
 from .walsh import walsh_row, walsh_rows_signs_p2, zero_column
@@ -170,9 +172,8 @@ def _profile_one_odd(table: FuncTable, b: int) -> tuple[int, bool, int, bool]:
                     raise InternalCheckError(
                         "plateaued row support count contradicts Parseval"
                     )
-    comp = dot_array(b, table.values, p, pr.m)
-    counts = np.bincount(comp, minlength=p)
-    balanced = bool(np.all(counts == pr.domain_size // p))
+    # <b, F> is balanced exactly when W(b, 0) = 0 (see the module docstring)
+    balanced = row.value(0) == 0
     return t_val, balanced, vmax, all_rat
 
 

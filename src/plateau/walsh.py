@@ -2,8 +2,8 @@
 
 W_F(b, a) = sum_x zeta^{<b,F(x)> - <a,x>} is a plain integer for p = 2 and an
 element of Z[zeta_p] for odd p.  A row (fixed output mask b) is computed by
-in-place butterflies: radix-4 Walsh-Hadamard stages on sign vectors for
-p = 2, per-axis size-p DFTs for odd p.
+in-place radix-4 Walsh-Hadamard butterflies on sign vectors for p = 2 and by
+one size-p DFT per base-p axis for odd p.
 
 Every p = 2 transform here is of +-1 sign rows of length 2^n or of preimage
 counts totalling 2^n, so every value, intermediate ones included, has
@@ -12,9 +12,15 @@ narrowest dtype that holds it: int16 while n <= 14, int32 while n <= 30,
 int64 while n <= 62, BudgetError beyond.
 
 Odd-p intermediate values live in (size, p) int64 matrices of exponent
-coefficients — entry [i, k] is the coefficient of zeta^k before
-canonicalization — so multiplying by zeta^s is a cyclic shift along the last
-axis.
+coefficients: entry [i, k] is the coefficient of zeta^k before
+canonicalization.  The DFT along one axis (dft_p_axes) is a gather: output
+coefficient k at frequency j is the sum over positions t of input coefficient
+k - j*t (mod p), read through one (p, p, p) index table, so each axis costs
+a fixed number of numpy calls whatever p is.  The coefficients are exponent
+counts, nonnegative and totalling p^n, and squared-modulus coefficients are
+at most p^(2n+1); _guard_int64 refuses p^(2n+1) >= 2^62.  The gather
+temporary is processed in blocks of at most _DFT_SCRATCH entries, so a
+transform needs its input, its output and one block.
 
 Rows and the zero column are returned as WalshVector, the one type that
 knows this layout and the p = 2 / odd-p split: callers ask it for values
@@ -31,6 +37,7 @@ reference oracle for every fast path.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, Optional
 
 import numpy as np
@@ -152,22 +159,52 @@ def _sign_transform(bits: np.ndarray, n: int) -> np.ndarray:
     return fwht_last_axis(signs)
 
 
+# dft_p_axes: entries of the (rows, p, p, p) gather temporary per block
+_DFT_SCRATCH = 1 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def _dft_gather(p: int, sign: int) -> np.ndarray:
+    """G[j, k, t] = t*p + (k - sign*j*t) % p: where output coefficient k of
+    frequency j reads input coefficient k - sign*j*t of position t."""
+    j, k, t = np.ix_(range(p), range(p), range(p))
+    gather = t * p + (k - sign * j * t) % p
+    gather.setflags(write=False)
+    return gather
+
+
 def dft_p_axes(mat: np.ndarray, p: int, axes: int, sign: int) -> np.ndarray:
     """Size-p DFT with kernel zeta^(sign*j*t) over each of `axes` base-p axes.
 
     mat has shape (p^axes, p): rows indexed by the point, columns by the
-    exponent coefficient.  Exact integer arithmetic throughout.
+    exponent coefficient; the result is a new array of that shape and dtype.
+    Each step transforms the top base-p axis and emits it as the bottom one,
+    so after `axes` steps the original order is back.  A step views the input
+    as (p, rest, p) and, block by block over `rest`, copies the block to rows
+    of p*p entries (position t, coefficient e), gathers them through
+    _dft_gather and sums over t: output coefficient k of frequency j is the
+    sum over t of input coefficient k - sign*j*t.  That is three numpy calls
+    per block, whatever p is.
+
+    Bounds: a step only adds nonnegative exponent counts, so every entry
+    stays at most the sum of the input (p^n for walsh_row and zero_column)
+    and int64 cannot overflow; _guard_int64 bounds the squared moduli taken
+    afterwards.  Blocks hold at most _DFT_SCRATCH entries of the
+    (rows, p, p, p) gather, so a step needs its input, its output and one
+    block.
     """
-    for k in range(axes):
-        stride = p ** k
-        v = mat.reshape(-1, p, stride, p)
-        out = np.zeros_like(v)
-        for j in range(p):
-            for t in range(p):
-                s = (sign * j * t) % p
-                seg = v[:, t, :, :]
-                out[:, j, :, :] += np.roll(seg, s, axis=-1) if s else seg
-        mat = out.reshape(-1, p)
+    gather = _dft_gather(p, sign)
+    rest = mat.shape[0] // p
+    block = max(1, _DFT_SCRATCH // p**3)
+    for _ in range(axes):
+        src = mat.reshape(p, rest, p)
+        out = np.empty_like(mat)
+        dst = out.reshape(rest, p, p)
+        for lo in range(0, rest, block):
+            rows = src[:, lo : lo + block].transpose(1, 0, 2).reshape(-1, p * p)
+            # summing with out= takes a slow buffered path; assign instead
+            dst[lo : lo + block] = rows[:, gather].sum(axis=-1)
+        mat = out
     return mat
 
 
@@ -178,12 +215,12 @@ def _exponent_one_hot(evec: np.ndarray, p: int) -> np.ndarray:
 
 
 def _sq_mod_coeffs(mat: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of W * conj(W) per row, in exponent coordinates."""
+    """Coefficient matrix of W * conj(W) per row, in exponent coordinates:
+    entry k is the sum over i of mat[i] * mat[i + k], indices mod p.  One
+    einsum, exact in int64 and on object (Python-int) arrays alike."""
     p = mat.shape[1]
-    out = np.empty_like(mat)
-    for k in range(p):
-        out[:, k] = (mat * np.roll(mat, k, axis=1)).sum(axis=1)
-    return out
+    idx = np.add.outer(np.arange(p), np.arange(p)) % p
+    return np.einsum("ni,nki->nk", mat, mat[:, idx])
 
 
 def _guard_int64(p: int, n: int) -> None:
@@ -296,14 +333,18 @@ def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
     """Batched transformed rows for p=2: (len(bs), 2^n) in _p2_dtype(n).
 
     Entries are bounded by 2^n in magnitude: int16 while n <= 14, int32
-    while n <= 30.  Batches beyond n = 30 are refused.
+    while n <= 30.  Batches beyond n = 30 are refused.  The masks and values
+    are ANDed in the narrowest unsigned dtype that holds 2^m - 1, so the
+    (len(bs), 2^n) temporary is 1 to 8 bytes an entry instead of 8.
     """
     pr = table.params
     if pr.p != 2:
         raise ValueError("batched sign rows are a p=2 path")
     if pr.n > 30:
         raise BudgetError("batched rows beyond n=30 exceed the int32 budget")
-    fb = np.bitwise_count(table.values[None, :] & bs[:, None]) & np.uint8(1)
+    word = np.min_scalar_type(pr.codomain_size - 1)
+    masked = table.values.astype(word)[None, :] & bs.astype(word)[:, None]
+    fb = np.bitwise_count(masked) & np.uint8(1)
     return _sign_transform(fb, pr.n)
 
 

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 import oracles as o
+from plateau import differential
 from plateau.constructions import monomial
 from plateau.cyclotomic import CycInt
 from plateau.differential import (
@@ -29,6 +31,19 @@ def test_ddt_matches_oracle():
         assert got.shape == (pr.domain_size - 1, pr.codomain_size)
         for c in range(1, pr.domain_size):
             assert got[c - 1].tolist() == want[c], c
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 4, 2), (5, 3, 2), (7, 2, 2)])
+def test_odd_ddt_rows_across_chunks(monkeypatch, p, n, m):
+    """The broadcast digit shifts, with chunks of 2 input differences: p^n is
+    odd, so every table spans several chunks and the last one is partial."""
+    tbl = random_table(p, n, m, 60 + p)
+    want = o.ddt_table(p, n, m, list(tbl))
+    monkeypatch.setattr(differential, "_SCRATCH", 2 * p**n)
+    rows = [(c, row.copy()) for c, row in ddt_rows(tbl, include_zero=True)]
+    assert [c for c, _ in rows] == list(range(p**n))
+    for c, row in rows:
+        assert row.tolist() == want[c], c
 
 
 def test_ddt_row_and_zero_row():

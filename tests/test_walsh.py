@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as o
+from plateau import walsh
 from plateau.cyclotomic import CycInt
 from plateau.domain import DomainParams, FuncTable
 from plateau.errors import BudgetError
@@ -11,6 +12,7 @@ from plateau.walsh import (
     WalshVector,
     _p2_dtype,
     component_values,
+    dft_p_axes,
     fwht_last_axis,
     spectrum_rows,
     walsh_point,
@@ -324,3 +326,79 @@ def test_p2_fourth_powers_past_int64():
     assert sq.sq_total() == sum(x**4 for x in ints) == 3510 << 64
     assert sq.total() == sum(x * x for x in ints)
     assert vec.support_count() == 3510
+
+
+@st.composite
+def odd_tables(draw):
+    """Random tables at odd p in {3, 5, 7}, n <= 4, m <= 3, with p^n <= 343
+    so that one direct sum per entry stays cheap."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, 4).filter(lambda k: p**k <= 343))
+    m = draw(st.integers(1, 3))
+    pr = DomainParams(p, n, m)
+    size = pr.domain_size
+    vals = draw(st.lists(st.integers(0, pr.codomain_size - 1), min_size=size, max_size=size))
+    return FuncTable(pr, vals), draw(st.integers(0, pr.codomain_size - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(odd_tables())
+def test_odd_rows_and_zero_column_match_walsh_counts(case):
+    """The gather DFT, entry by entry against oracles.walsh_counts."""
+    tbl, b = case
+    pr = tbl.params
+    p, n, m = pr.p, pr.n, pr.m
+    vals = list(tbl)
+    row = walsh_row(tbl, b).basis_coords().tolist()
+    for a in range(pr.domain_size):
+        assert tuple(row[a]) == o.counts_canonical(o.walsh_counts(p, n, m, vals, b, a), p)
+    col = zero_column(tbl).basis_coords().tolist()
+    for c in range(pr.codomain_size):
+        assert tuple(col[c]) == o.counts_canonical(o.walsh_counts(p, n, m, vals, c, 0), p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [2, 40])
+def test_sq_moduli_match_cycint(p, n):
+    """sq_moduli against W * conj(W) in CycInt arithmetic, on the int64 path
+    (n = 2) and on the object path (n = 40, where p^(2n+3) >= 2^62).  The
+    entries are synthetic exponent counts; at n = 40 they reach 2^40."""
+    rng = np.random.default_rng(30 + p)
+    data = rng.integers(0, 1 << min(n, 40), size=(64, p), dtype=np.int64)
+    vec = WalshVector(p, n, data)
+    assert vec._fits_int64() == (n == 2)
+    got = vec.sq_moduli()
+    assert got.data.dtype == (np.int64 if n == 2 else object)
+    want = [w * w.conj() for w in vec.values()]
+    assert got.values() == want
+
+
+@pytest.mark.parametrize("p, axes", [(3, 5), (5, 3), (7, 2)])
+def test_dft_p_axes_blocks_agree(monkeypatch, p, axes):
+    """Forcing one (p, p, p) gather per block gives the same transform as
+    one block, for both signs."""
+    rng = np.random.default_rng(40 + p)
+    mat = rng.integers(0, 50, size=(p**axes, p), dtype=np.int64)
+    whole = [dft_p_axes(mat, p, axes, sign) for sign in (-1, 1)]
+    monkeypatch.setattr(walsh, "_DFT_SCRATCH", p**3)
+    blocked = [dft_p_axes(mat, p, axes, sign) for sign in (-1, 1)]
+    for w, b in zip(whole, blocked):
+        assert b.dtype == w.dtype == np.int64
+        assert np.array_equal(w, b)
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_batched_sign_rows_narrow_and(m):
+    """The AND in the narrowest unsigned dtype for 2^m - 1 (uint16 at
+    m = 16, uint32 at m = 32) gives the int64 result, top bit included."""
+    rng = np.random.default_rng(50 + m)
+    pr = DomainParams(2, 10, m)
+    vals = rng.integers(0, 1 << m, size=pr.domain_size, dtype=np.int64)
+    vals[0] = (1 << m) - 1
+    tbl = FuncTable(pr, vals)
+    bs = np.concatenate([[1 << (m - 1), (1 << m) - 1], rng.integers(0, 1 << m, size=14)])
+    bits = (np.bitwise_count(tbl.values[None, :] & bs[:, None]) & 1).astype(np.int64)
+    want = fwht_last_axis(1 - 2 * bits)
+    got = walsh_rows_signs_p2(tbl, bs)
+    assert got.dtype == _p2_dtype(10)
+    assert np.array_equal(got, want)

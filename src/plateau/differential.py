@@ -100,7 +100,9 @@ def diff_summary(table: FuncTable) -> DiffSummary:
     pr = table.params
     pn = pr.domain_size
     delta = 0
-    nonzero_values: set[int] = set()
+    # the least nonzero entry so far; the nonzero entries all equal delta
+    # exactly when it does, and once it falls below delta it stays below
+    least = pn
     for c, row in ddt_rows(table):
         # nonnegative entries totalling p^n < 2^62, so int64 cannot overflow
         total = int(row.sum(dtype=np.int64))
@@ -111,9 +113,13 @@ def diff_summary(table: FuncTable) -> DiffSummary:
         m = int(row.max())
         if m > delta:
             delta = m
-        if len(nonzero_values) <= 2:
-            nonzero_values.update(int(v) for v in np.unique(row[row > 0]).tolist())
-    two_valued = nonzero_values.pop() if len(nonzero_values) == 1 else None
+        if least >= delta:
+            # the entries are nonnegative and total pn, so the nonzero ones
+            # all equal m exactly when there are pn / m of them; a row where
+            # they do not drops least below delta for good
+            single = int(np.count_nonzero(row)) * m == pn
+            least = min(least, m if single else int(row[row > 0].min()))
+    two_valued = delta if least == delta else None
     apn = (delta <= 2) if (pr.p == 2 and pr.n == pr.m) else None
     return DiffSummary(delta, two_valued, apn)
 

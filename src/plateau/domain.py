@@ -4,10 +4,23 @@ A vector (x_0, ..., x_{k-1}) over F_p is encoded as the index sum x_i * p**i,
 so digit 0 is the least significant; for p = 2 the index is the familiar bit
 mask and vector addition is XOR.  A function is stored as the array of output
 indices in input-index order.
+
+Odd-p digitwise subtraction of index arrays (vec_sub_arrays) never divides
+digit by digit.  It reads a cached digit-group table: for g digits,
+T[u * p^g + v] is the index of the digitwise difference u - v, with u and v
+below p^g.  Length-k operands split into the fewest groups whose table has
+at most _DIGIT_TABLE = 2^16 entries, g = ceil(k / groups) digits each, so
+every table value is below p^g <= 2^8 and the table is uint8, 64 KiB at
+most.  Each group costs one division of the operands by p^(g*i) and one
+gather; the gathered values are widened to int64 before they are scaled by
+p^(g*i) and accumulated, since the scaled values overflow any narrow dtype.
+When the operands fit one group the whole subtraction is one gather.  Primes
+with p^2 > 2^16 have no table and keep the per-digit loop.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -104,10 +117,70 @@ def vec_add_array(xs: np.ndarray, a: int, p: int, length: int) -> np.ndarray:
     return out
 
 
+# entries of one digit-group subtraction table (see the module docstring)
+_DIGIT_TABLE = 1 << 16
+
+
+def _group_digits(p: int, length: int) -> int:
+    """Digits per group: ceil(length / groups) for the fewest groups whose
+    table has at most _DIGIT_TABLE entries; 0 when even one digit has none."""
+    g = 0
+    while p ** (2 * (g + 1)) <= _DIGIT_TABLE:
+        g += 1
+    if g == 0:
+        return 0
+    groups = -(-length // g)
+    return -(-length // groups)
+
+
+@functools.lru_cache(maxsize=None)
+def _sub_table(p: int, g: int) -> np.ndarray:
+    """T[u * p^g + v] = index of the digitwise difference u - v over g digits."""
+    u = np.arange(p**g, dtype=np.int64)
+    table = np.zeros((u.size, u.size), dtype=np.int64)
+    pk = 1
+    for _ in range(g):
+        d = (u // pk) % p
+        table += (d[:, None] - d[None, :]) % p * pk
+        pk *= p
+    table = table.reshape(-1).astype(np.uint8)
+    table.setflags(write=False)
+    return table
+
+
 def vec_sub_arrays(us: np.ndarray, vs: np.ndarray, p: int, length: int) -> np.ndarray:
+    """Digitwise us - vs of broadcastable index arrays, as int64 indices."""
     if p == 2:
         return us ^ vs
-    out = np.zeros_like(us)
+    shape = np.broadcast_shapes(np.shape(us), np.shape(vs))
+    g = _group_digits(p, length)
+    if g:
+        table = _sub_table(p, g)
+        q = p**g
+        out = np.empty(shape, dtype=np.int64)
+        key = np.empty(shape, dtype=np.int64)
+        for lo in range(0, length, g):
+            # key = (group of u) * q + (group of v), built in place
+            pk = p**lo
+            if lo:
+                np.floor_divide(us, pk, out=key)
+            else:
+                np.copyto(key, us)
+            vg = vs // pk
+            if lo + g < length:
+                key %= q
+                vg %= q
+            key *= q
+            key += vg
+            part = table.take(key)
+            if lo:
+                # widen before scaling: p^lo times a group overflows uint8
+                np.multiply(part, pk, out=key, dtype=np.int64)
+                out += key
+            else:
+                out[...] = part
+        return out
+    out = np.zeros(shape, dtype=np.int64)
     pk = 1
     for _ in range(length):
         out += ((us // pk) % p - (vs // pk) % p) % p * pk

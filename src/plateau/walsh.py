@@ -15,12 +15,13 @@ Odd-p intermediate values live in (size, p) int64 matrices of exponent
 coefficients: entry [i, k] is the coefficient of zeta^k before
 canonicalization.  The DFT along one axis (dft_p_axes) is a gather: output
 coefficient k at frequency j is the sum over positions t of input coefficient
-k - j*t (mod p), read through one (p, p, p) index table, so each axis costs
-a fixed number of numpy calls whatever p is.  The coefficients are exponent
-counts, nonnegative and totalling p^n, and squared-modulus coefficients are
-at most p^(2n+1); _guard_int64 refuses p^(2n+1) >= 2^62.  The gather
-temporary is processed in blocks of at most _DFT_SCRATCH entries, so a
-transform needs its input, its output and one block.
+k - j*t (mod p), read straight from the untransposed input through one cached
+flat index, so each axis costs a fixed number of numpy calls whatever p is.
+The coefficients are exponent counts, nonnegative and totalling p^n, and
+squared-modulus coefficients are at most p^(2n+1); _guard_int64 refuses
+p^(2n+1) >= 2^62.  The index and the gathered values cover blocks of rows of
+at most _DFT_SCRATCH entries each (p^3 when one row is larger), so a
+transform needs its input, two output buffers, one index and one block.
 
 Rows and the zero column are returned as WalshVector, the one type that
 knows this layout and the p = 2 / odd-p split: callers ask it for values
@@ -159,18 +160,23 @@ def _sign_transform(bits: np.ndarray, n: int) -> np.ndarray:
     return fwht_last_axis(signs)
 
 
-# dft_p_axes: entries of the (rows, p, p, p) gather temporary per block
-_DFT_SCRATCH = 1 << 20
+# dft_p_axes: entries of the flat take index, and of the gathered block, per
+# block of rows
+_DFT_SCRATCH = 1 << 16
 
 
-@functools.lru_cache(maxsize=None)
-def _dft_gather(p: int, sign: int) -> np.ndarray:
-    """G[j, k, t] = t*p + (k - sign*j*t) % p: where output coefficient k of
-    frequency j reads input coefficient k - sign*j*t of position t."""
-    j, k, t = np.ix_(range(p), range(p), range(p))
-    gather = t * p + (k - sign * j * t) % p
-    gather.setflags(write=False)
-    return gather
+@functools.lru_cache(maxsize=16)
+def _dft_take_index(p: int, sign: int, rest: int, rows: int) -> np.ndarray:
+    """idx[t, (r, j, k)] = (t*rest + r)*p + (k - sign*j*t) % p for r < rows:
+    where, in the flat (p, rest, p) input, output coefficient k of frequency
+    j of row r reads input coefficient k - sign*j*t of position t."""
+    t, r, j, k = np.ix_(range(p), range(rows), range(p), range(p))
+    # built in place where it can be, so that at most one p^3 temporary
+    # sits beside the index
+    idx = k - sign * j * t
+    idx %= p
+    # left writable: np.take copies a read-only index on every call
+    return (idx + (t * rest + r) * p).reshape(p, -1)
 
 
 def dft_p_axes(mat: np.ndarray, p: int, axes: int, sign: int) -> np.ndarray:
@@ -179,33 +185,49 @@ def dft_p_axes(mat: np.ndarray, p: int, axes: int, sign: int) -> np.ndarray:
     mat has shape (p^axes, p): rows indexed by the point, columns by the
     exponent coefficient; the result is a new array of that shape and dtype.
     Each step transforms the top base-p axis and emits it as the bottom one,
-    so after `axes` steps the original order is back.  A step views the input
-    as (p, rest, p) and, block by block over `rest`, copies the block to rows
-    of p*p entries (position t, coefficient e), gathers them through
-    _dft_gather and sums over t: output coefficient k of frequency j is the
-    sum over t of input coefficient k - sign*j*t.  That is three numpy calls
-    per block, whatever p is.
+    so after `axes` steps the original order is back.  A step reads the
+    C-contiguous input as a flat (p, rest, p) array (position t, row r,
+    coefficient e), with no transposed copy, through the flat index of
+    _dft_take_index: block by block over `rest` it is one take into a
+    (p, rows*p*p) buffer and one np.add.reduce over t, so output coefficient
+    k of frequency j of row r is the sum over t of input coefficient
+    k - sign*j*t.  The block starting at row lo takes from the view
+    flat[lo*p:], so one index serves every block and every step.  That is
+    two numpy calls per block, whatever p is.
 
     Bounds: a step only adds nonnegative exponent counts, so every entry
     stays at most the sum of the input (p^n for walsh_row and zero_column)
     and int64 cannot overflow; _guard_int64 bounds the squared moduli taken
-    afterwards.  Blocks hold at most _DFT_SCRATCH entries of the
-    (rows, p, p, p) gather, so a step needs its input, its output and one
-    block.
+    afterwards.  A row of a block is p^3 index entries and p^3 gathered
+    values; blocks have max(1, _DFT_SCRATCH // p^3) rows, so the index and
+    the gather buffer each hold at most max(p^3, _DFT_SCRATCH) entries.  The
+    steps alternate between two output buffers, so a transform needs its
+    input, those two, one index and one gather buffer.  The index cache holds
+    16 indices.
     """
-    gather = _dft_gather(p, sign)
     rest = mat.shape[0] // p
-    block = max(1, _DFT_SCRATCH // p**3)
-    for _ in range(axes):
-        src = mat.reshape(p, rest, p)
-        out = np.empty_like(mat)
-        dst = out.reshape(rest, p, p)
-        for lo in range(0, rest, block):
-            rows = src[:, lo : lo + block].transpose(1, 0, 2).reshape(-1, p * p)
-            # summing with out= takes a slow buffered path; assign instead
-            dst[lo : lo + block] = rows[:, gather].sum(axis=-1)
-        mat = out
-    return mat
+    block = min(rest, max(1, _DFT_SCRATCH // p**3))
+    idx = _dft_take_index(p, sign, rest, block)
+    # one gather buffer for every block and step: a fresh one per block can
+    # cost a heap trim and page faults each time
+    taken = np.empty(idx.size, dtype=mat.dtype)
+    blocks = []  # (first row, index, gather buffer) per block
+    for lo in range(0, rest, block):
+        width = min(block, rest - lo) * p * p
+        part = idx if width == idx.shape[1] else idx[:, :width]
+        blocks.append((lo, part, taken[: p * width].reshape(p, width)))
+    # the steps alternate between two output buffers
+    flat = mat.reshape(-1)
+    spare = [np.empty_like(flat) for _ in range(min(axes, 2))]
+    for step in range(axes):
+        out = spare[step % 2]
+        for lo, part, buf in blocks:
+            # every index is in range; mode="clip" only skips the buffered
+            # copy that out= costs under mode="raise"
+            flat[lo * p :].take(part, out=buf, mode="clip")
+            np.add.reduce(buf, axis=0, out=out[lo * p * p : lo * p * p + buf.shape[1]])
+        flat = out
+    return flat.reshape(-1, p)
 
 
 def _exponent_one_hot(evec: np.ndarray, p: int) -> np.ndarray:
@@ -218,9 +240,15 @@ def _sq_mod_coeffs(mat: np.ndarray) -> np.ndarray:
     """Coefficient matrix of W * conj(W) per row, in exponent coordinates:
     entry k is the sum over i of mat[i] * mat[i + k], indices mod p.  One
     einsum, exact in int64 and on object (Python-int) arrays alike."""
-    p = mat.shape[1]
+    return np.einsum("ni,nki->nk", mat, mat[:, _shift_index(mat.shape[1])])
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_index(p: int) -> np.ndarray:
+    """idx[k, i] = (i + k) % p."""
     idx = np.add.outer(np.arange(p), np.arange(p)) % p
-    return np.einsum("ni,nki->nk", mat, mat[:, idx])
+    idx.setflags(write=False)
+    return idx
 
 
 def _guard_int64(p: int, n: int) -> None:

@@ -62,8 +62,12 @@ def test_dot_matches_oracle_and_is_bilinear():
 
 
 def test_array_ops_match_scalar_loops():
+    """Lengths of one digit-group table (3, 3), of two or three groups (the
+    top group of (5, 7) times 5^6 overflows int16), and p = 257, which has no
+    table."""
     rng = np.random.default_rng(9)
-    for p, k in ((2, 4), (3, 3)):
+    cases = ((2, 4), (3, 3), (3, 6), (3, 11), (5, 7), (7, 5), (11, 4), (257, 2))
+    for p, k in cases:
         size = p**k
         us = rng.integers(size, size=40).astype(np.int64)
         vs = rng.integers(size, size=40).astype(np.int64)
@@ -74,6 +78,8 @@ def test_array_ops_match_scalar_loops():
         assert got.tolist() == [o.vadd(int(u), int(v), p, k) for u, v in zip(us, vs)]
         got = vec_sub_arrays(us, vs, p, k)
         assert got.tolist() == [o.vsub(int(u), int(v), p, k) for u, v in zip(us, vs)]
+        got = vec_sub_arrays(us[:8, None], vs[None, :8], p, k)
+        assert got.tolist() == [[o.vsub(int(u), int(v), p, k) for v in vs[:8]] for u in us[:8]]
         b = int(rng.integers(size))
         got = dot_array(b, us, p, k)
         assert got.tolist() == [o.dot(b, int(u), p, k) for u in us]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import oracles as o
+from plateau import plateaued
+from plateau._util import run_ordered
 from plateau.constructions import monomial
 from plateau.distribution import preimage_distribution
 from plateau.domain import DomainParams, FuncTable
@@ -261,6 +263,29 @@ def test_diff_two_valued_cases():
 
     assert check_diff_two_valued(Analysis(random_table(2, 4, 4, 56))).status == "skipped"
     assert check_diff_two_valued(Analysis(random_table(2, 4, 3, 57))).status == "skipped"
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 4, 3), (3, 7, 4)])
+def test_odd_profile_thread_count_invariant(monkeypatch, p, n, m):
+    """Odd-p profiles are identical at 1 and 4 threads, below the serial
+    crossover (3, 4, 3) and above it (3, 7, 4), where the 80 masks make
+    three groups that really run on 4 workers."""
+    tbl = random_table(p, n, m, 59)
+    seen = []
+
+    def spy(fn, items, threads):
+        seen.append((len(items), threads))
+        return run_ordered(fn, items, threads)
+
+    monkeypatch.setattr(plateaued, "run_ordered", spy)
+    one = component_profile(tbl, threads=1)
+    four = component_profile(tbl, threads=4)
+    above = n * p ** (n + 2) >= plateaued._THREADED_ROW_GATHERS
+    assert seen[1] == ((3, 4) if above else (1, 1))
+    assert np.array_equal(one.t_values, four.t_values)
+    assert np.array_equal(one.balanced_mask, four.balanced_mask)
+    assert np.array_equal(one.max_sq, four.max_sq)
+    assert one.all_sq_rational == four.all_sq_rational
 
 
 def test_profile_thread_count_invariant():

@@ -387,6 +387,24 @@ def test_dft_p_axes_blocks_agree(monkeypatch, p, axes):
         assert np.array_equal(w, b)
 
 
+@pytest.mark.parametrize("p, n, m", [(3, 4, 2), (5, 3, 2), (7, 2, 2)])
+def test_blocked_dft_p_axes_matches_walsh_counts(monkeypatch, p, n, m):
+    """Blocks of two rows, the last one partial, against the direct sums for
+    both signs: the exponent counts at frequency a are those of W(b, a) for
+    sign -1 and of W(b, -a) for sign +1."""
+    monkeypatch.setattr(walsh, "_DFT_SCRATCH", 2 * p**3)
+    tbl = random_table(p, n, m, 60 + p)
+    vals = list(tbl)
+    b = p + 1
+    mat = np.zeros((p**n, p), dtype=np.int64)
+    mat[np.arange(p**n), component_values(tbl, b)] = 1
+    for sign in (-1, 1):
+        got = dft_p_axes(mat, p, n, sign).tolist()
+        for a in range(p**n):
+            freq = a if sign == -1 else o.vsub(0, a, p, n)
+            assert got[a] == o.walsh_counts(p, n, m, vals, b, freq)
+
+
 @pytest.mark.parametrize("m", [16, 32])
 def test_batched_sign_rows_narrow_and(m):
     """The AND in the narrowest unsigned dtype for 2^m - 1 (uint16 at

@@ -7,7 +7,8 @@ package, in perfbench/run.py and perfbench/summary.py.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
 2 usage or input parse error, 3 a requested section was skipped (resource
-budget or inapplicable check), with failures taking priority over skips.
+budget or inapplicable check) or the work ran out of memory, with failures
+taking priority over skips.
 """
 
 from __future__ import annotations
@@ -408,6 +409,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FileFormatError, ConstructionError, BudgetError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
+    except MemoryError as e:
+        # over-budget work that no budget flag caught, not a failed check
+        detail = " ".join(str(e).split())
+        sys.stderr.write(f"error: out of memory{': ' + detail if detail else ''}\n")
+        return EXIT_PARTIAL
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Difference distribution tables, uniformity, and fourth-moment identities.
 
 A DDT row for the input difference c counts solutions of F(x+c) - F(x) = d.
-Rows are produced lazily so summaries never hold more than O(p^m) counts at
-once.  The fourth moment of the Walsh spectrum is computed on the differential
-side, p^(n+m) * sum of squared difference-map fiber sizes, which equals the
-spectral sum over all (b, a); the spectral side is recomputed directly as a
-cross-check whenever the table is small enough.
+Rows are produced lazily, a chunk of input differences at a time, so
+summaries never hold more than _SCRATCH counts or gathered values at once (or
+one row, when p^n or p^m alone is larger).  The fourth moment of the Walsh
+spectrum is computed on the differential side, p^(n+m) * sum of squared
+difference-map fiber sizes, which equals the spectral sum over all (b, a); the
+spectral side is recomputed directly as a cross-check whenever the table is
+small enough.
 """
 
 from __future__ import annotations
@@ -21,9 +23,13 @@ from .domain import FuncTable, vec_add_array, vec_sub_arrays
 from .errors import InternalCheckError
 from .walsh import walsh_row, walsh_rows_signs_p2
 
-# chunk of input differences processed per batch; the scratch matrix is
-# chunk * p^n entries, kept near 4M
-_SCRATCH = 1 << 22
+# entries in one block of difference rows: a chunk of input differences c
+# covers at most this many gathered values and at most this many bincount
+# counts (or one row, when p^n or p^m alone is larger); 2^16 keeps a block's
+# temporaries inside a core's L2 cache
+_SCRATCH = 1 << 16
+# entries of one batch of p = 2 sign rows in the fourth-moment cross-check
+_FOURTH_SCRATCH = 1 << 22
 
 
 def ddt_row(table: FuncTable, c: int) -> np.ndarray:
@@ -40,38 +46,54 @@ def ddt_row(table: FuncTable, c: int) -> np.ndarray:
 def ddt_rows(table: FuncTable, include_zero: bool = False) -> Iterator[tuple[int, np.ndarray]]:
     """(c, row) pairs in ascending c order, skipping c = 0 unless asked.
 
-    Rows are emitted from a shared scratch buffer in chunks; callers must not
-    hold references across iterations (copy if needed).
+    Rows are computed in chunks of input differences, each chunk's rows
+    sharing one block; callers must not hold references across iterations
+    (copy if needed).
     """
     pr = table.params
     p, n = pr.p, pr.n
     pn, pm = pr.domain_size, pr.codomain_size
     start = 0 if include_zero else 1
-    chunk = max(1, _SCRATCH // pn)
-    xs = np.arange(pn, dtype=np.int64)
-    # odd p: viewed as (chunk, p, ..., p), the index of x + c is the sum over
-    # digits k of ((x_k + c_k) % p) * p^k, and x_k varies only along axis
-    # n - k, so each digit is one broadcast (chunk, p) term added in place
-    digit = np.arange(p, dtype=np.int64)
-    powers = p ** np.arange(n, dtype=np.int64)
-    for lo in range(start, pn, chunk):
-        cs = np.arange(lo, min(lo + chunk, pn), dtype=np.int64)
-        if p == 2:
-            shifted = table.values[xs[None, :] ^ cs[:, None]]
-            diffs = shifted ^ table.values[None, :]
-        else:
-            idx = np.zeros((cs.shape[0],) + (p,) * n, dtype=np.int64)
+    chunk = max(1, _SCRATCH // max(pn, pm))
+    if p == 2:
+        # values below p^m and indices below p^n in the narrowest dtypes;
+        # only the bincount key is widened to int64
+        vals = table.values.astype(np.min_scalar_type(pm - 1))
+        xs = np.arange(pn, dtype=np.min_scalar_type(pn - 1))
+
+        def diffs_of(lo: int, hi: int) -> np.ndarray:
+            cs = np.arange(lo, hi, dtype=xs.dtype)
+            diffs = vals.take(xs[None, :] ^ cs[:, None])
+            diffs ^= vals
+            return diffs.astype(np.int64)
+
+    else:
+        # viewed as (chunk, p, ..., p), the index of x + c is the sum over
+        # digits k of ((x_k + c_k) % p) * p^k, and x_k varies only along axis
+        # n - k, so each digit is one broadcast (chunk, p) term added in place
+        digit = np.arange(p, dtype=np.int64)
+        powers = p ** np.arange(n, dtype=np.int64)
+
+        def diffs_of(lo: int, hi: int) -> np.ndarray:
+            cs = np.arange(lo, hi, dtype=np.int64)
+            idx = np.zeros((hi - lo,) + (p,) * n, dtype=np.int64)
             c_digits = (cs[:, None] // powers) % p
             for k in range(n):
                 term = (c_digits[:, k, None] + digit) % p * powers[k]
                 idx += term.reshape((-1,) + (1,) * (n - 1 - k) + (p,) + (1,) * k)
             idx = idx.reshape(-1, pn)
-            diffs = vec_sub_arrays(table.values[idx], table.values[None, :], p, pr.m)
-        flat = diffs + (np.arange(cs.shape[0], dtype=np.int64) * pm)[:, None]
-        rows = np.bincount(flat.reshape(-1), minlength=cs.shape[0] * pm)
-        rows = rows.reshape(cs.shape[0], pm)
-        for k, c in enumerate(cs.tolist()):
-            yield c, rows[k]
+            return vec_sub_arrays(table.values[idx], table.values[None, :], p, pr.m)
+
+    offsets = np.arange(chunk, dtype=np.int64)[:, None] * pm
+    for lo in range(start, pn, chunk):
+        hi = min(lo + chunk, pn)
+        # row k of the chunk counts into bins k * p^m ... (k + 1) * p^m - 1
+        key = diffs_of(lo, hi)
+        key += offsets[: hi - lo]
+        rows = np.bincount(key.reshape(-1), minlength=(hi - lo) * pm)
+        rows = rows.reshape(hi - lo, pm)
+        for k in range(hi - lo):
+            yield lo + k, rows[k]
 
 
 def ddt(table: FuncTable) -> np.ndarray:
@@ -150,8 +172,10 @@ def _diff_sq_sum_all(table: FuncTable) -> int:
     pr = table.params
     bits = (pr.domain_size ** 2).bit_length()
     total = pr.domain_size ** 2  # c = 0 row: single spike of p^n
+    # a row's nonnegative entries total p^n, so its squares sum to at most
+    # (p^n)^2: one int64 dot product per row while that fits in 62 bits
     for _, row in ddt_rows(table):
-        total += exact_sum(row * row, bits)
+        total += int(row @ row) if bits <= 62 else exact_sum(row * row, bits)
     return total
 
 
@@ -166,7 +190,7 @@ def _walsh_fourth_sum_all(table: FuncTable) -> "int | CycInt":
     n = pr.n
     if pr.p == 2 and 4 * n + 1 <= 62:
         total = 0
-        step = max(1, _SCRATCH // pr.domain_size)
+        step = max(1, _FOURTH_SCRATCH // pr.domain_size)
         for lo in range(0, pr.codomain_size, step):
             bs = np.arange(lo, min(lo + step, pr.codomain_size), dtype=np.int64)
             rows = walsh_rows_signs_p2(table, bs).astype(np.int64)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from plateau import cli
 from plateau.cli import main
 from plateau.constructions import monomial
 from plateau.domain import DomainParams, FuncTable
@@ -95,6 +96,19 @@ def test_analyze_budget_exit(cube_file, capsys):
     report = json.loads(out)
     assert report["profile"] is None
     assert "profile" in report["skipped"]
+
+
+def test_analyze_out_of_memory_exit(cube_file, capsys, monkeypatch):
+    """Work that runs out of memory is over budget: exit 3 and one line."""
+    def exhausted(table, opts):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_analysis", exhausted)
+    code, out, err = run(capsys, "analyze", cube_file, "--all")
+    assert code == 3
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
+    assert "Traceback" not in err
 
 
 def test_analyze_missing_file(capsys):
@@ -351,6 +365,16 @@ def test_console_script_declared():
     assert scripts["plateau"] == "plateau.cli:main"
     module, attr = scripts["plateau"].split(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+def test_test_extra_lists_test_dependencies():
+    """pip install .[test] brings every package the tests import."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    names = {req.split(">")[0].split("=")[0].strip() for req in extra}
+    assert {"pytest", "sympy", "hypothesis"} <= names
 
 
 @pytest.mark.skipif(

@@ -46,6 +46,40 @@ def test_odd_ddt_rows_across_chunks(monkeypatch, p, n, m):
         assert row.tolist() == want[c], c
 
 
+def test_p2_ddt_rows_across_chunks(monkeypatch):
+    """Chunks of 3 input differences over 32: the last chunk is partial with
+    or without the c = 0 row."""
+    tbl = random_table(2, 5, 3, 61)
+    want = o.ddt_table(2, 5, 3, list(tbl))
+    monkeypatch.setattr(differential, "_SCRATCH", 3 * 2**5)
+    for include_zero in (True, False):
+        rows = [(c, row.copy()) for c, row in ddt_rows(tbl, include_zero=include_zero)]
+        assert [c for c, _ in rows] == list(range(0 if include_zero else 1, 32))
+        for c, row in rows:
+            assert row.tolist() == want[c], c
+
+
+@pytest.mark.parametrize("p, n, m", [(2, 5, 16), (2, 5, 17), (2, 17, 2)])
+def test_p2_ddt_rows_at_dtype_edges(p, n, m):
+    """Values past uint16 at m = 17 and indices past uint16 at n = 17 match
+    the unchunked int64 rows of ddt_row."""
+    tbl = random_table(p, n, m, 62 + n + m)
+    for c, row in ddt_rows(tbl):
+        assert np.array_equal(row, ddt_row(tbl, c)), c
+        if n == 17:
+            break
+
+
+def test_p2_ddt_rows_chunk_counts_the_wider_side(monkeypatch):
+    """The chunk rule divides the scratch by max(p^n, p^m): with 2^10 entries
+    and 2^12 counts per row, every (2, 3, 12) row has a block of its own."""
+    tbl = random_table(2, 3, 12, 63)
+    monkeypatch.setattr(differential, "_SCRATCH", 1 << 10)
+    for c, row in ddt_rows(tbl):
+        assert row.base.size == 1 << 12, c
+        assert np.array_equal(row, ddt_row(tbl, c)), c
+
+
 def test_ddt_row_and_zero_row():
     tbl = random_table(3, 2, 2, 33)
     want = o.ddt_table(3, 2, 2, list(tbl))

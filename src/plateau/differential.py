@@ -17,9 +17,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import walsh
 from ._util import exact_sum
 from .cyclotomic import CycInt
-from .domain import FuncTable, vec_add_array, vec_sub_arrays
+from .domain import FuncTable, vec_add_arrays, vec_sub_arrays
 from .errors import InternalCheckError
 from .walsh import walsh_row, walsh_rows_signs_p2
 
@@ -28,8 +29,6 @@ from .walsh import walsh_row, walsh_rows_signs_p2
 # counts (or one row, when p^n or p^m alone is larger); 2^16 keeps a block's
 # temporaries inside a core's L2 cache
 _SCRATCH = 1 << 16
-# entries of one batch of p = 2 sign rows in the fourth-moment cross-check
-_FOURTH_SCRATCH = 1 << 22
 
 
 def ddt_row(table: FuncTable, c: int) -> np.ndarray:
@@ -38,7 +37,7 @@ def ddt_row(table: FuncTable, c: int) -> np.ndarray:
     if not 0 <= c < pr.domain_size:
         raise ValueError(f"difference {c} outside [0, {pr.domain_size})")
     xs = np.arange(pr.domain_size, dtype=np.int64)
-    shifted = table.values[vec_add_array(xs, c, pr.p, pr.n)]
+    shifted = table.values[vec_add_arrays(xs, c, pr.p, pr.n)]
     diffs = vec_sub_arrays(shifted, table.values, pr.p, pr.m)
     return np.bincount(diffs, minlength=pr.codomain_size)
 
@@ -190,7 +189,7 @@ def _walsh_fourth_sum_all(table: FuncTable) -> "int | CycInt":
     n = pr.n
     if pr.p == 2 and 4 * n + 1 <= 62:
         total = 0
-        step = max(1, _FOURTH_SCRATCH // pr.domain_size)
+        step = max(1, walsh._ROWS_SCRATCH // pr.domain_size)
         for lo in range(0, pr.codomain_size, step):
             bs = np.arange(lo, min(lo + step, pr.codomain_size), dtype=np.int64)
             rows = walsh_rows_signs_p2(table, bs).astype(np.int64)

@@ -104,19 +104,6 @@ def dot(i: int, j: int, p: int, length: int) -> int:
 # ---------------------------------------------------------------------------
 # vectorized variants over numpy index arrays (exact int64 arithmetic)
 
-def vec_add_array(xs: np.ndarray, a: int, p: int, length: int) -> np.ndarray:
-    if p == 2:
-        return xs ^ a
-    out = np.zeros_like(xs)
-    pk = 1
-    aa = a
-    for _ in range(length):
-        out += ((xs // pk) % p + aa % p) % p * pk
-        aa //= p
-        pk *= p
-    return out
-
-
 # entries of one digit-group subtraction table (see the module docstring)
 _DIGIT_TABLE = 1 << 16
 
@@ -189,6 +176,7 @@ def vec_sub_arrays(us: np.ndarray, vs: np.ndarray, p: int, length: int) -> np.nd
 
 
 def vec_add_arrays(us: np.ndarray, vs: np.ndarray, p: int, length: int) -> np.ndarray:
+    """Digitwise us + vs; vs may be one index, which broadcasts."""
     if p == 2:
         return us ^ vs
     out = np.zeros_like(us)
@@ -357,12 +345,12 @@ class FuncTable:
         if not 0 <= beta < pr.codomain_size:
             raise ValueError(f"beta {beta} outside [0, {pr.codomain_size})")
         nb = vec_neg(beta, pr.p, pr.m)
-        return FuncTable(pr, vec_add_array(self.values, nb, pr.p, pr.m))
+        return FuncTable(pr, vec_add_arrays(self.values, nb, pr.p, pr.m))
 
     def shifted_input(self, x0: int) -> "FuncTable":
         """The table of x -> F(x + x0)."""
         pr = self.params
         if not 0 <= x0 < pr.domain_size:
             raise ValueError(f"x0 {x0} outside [0, {pr.domain_size})")
-        xs = vec_add_array(np.arange(pr.domain_size, dtype=np.int64), x0, pr.p, pr.n)
+        xs = vec_add_arrays(np.arange(pr.domain_size, dtype=np.int64), x0, pr.p, pr.n)
         return FuncTable(pr, self.values[xs])

@@ -8,6 +8,13 @@ N_k = #{x : <b, F(x)> = k}, and since 1 + zeta + ... + zeta^(p-1) is the
 minimal polynomial of zeta, that sum is 0 only when all the N_k are equal.
 So balance is read off the row at a = 0, in exact arithmetic.
 
+One classifier, _classify_rows, serves every p: one two-valued test, one
+power-of-p test (a cached table of the powers below 2^62) and one Parseval
+guard over a block of rows.  The only p split is the row source: |W| from
+walsh_rows_signs_p2 at p = 2; at odd p the rational |W|^2 of one walsh_row
+per mask, 0 where irrational.  walsh._ROWS_SCRATCH, never the worker count,
+sizes the blocks.
+
 Every named check returns a CheckResult instead of assuming its hypotheses:
 hypothesis mismatches are "skipped", violated conclusions are "fail" with the
 offending quantities in details.  A check takes the table's `Analysis` and
@@ -17,11 +24,13 @@ raises `report.Withheld` out of the check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from . import walsh
 from ._util import exact_sum, run_ordered, thread_count
 # the checks take their artifacts from an Analysis; diff_summary and
 # preimage_distribution stay importable here because perfbench/tracer.py
@@ -35,8 +44,6 @@ from .walsh import walsh_row, walsh_rows_signs_p2, zero_column
 
 if TYPE_CHECKING:
     from .report import Analysis
-
-_PROFILE_BATCH = 256  # masks per batch; fixed so output never depends on threads
 
 # Odd-p rows whose DFT gathers fewer entries than this, n * p^(n+2) a row, are
 # profiled on the calling thread: each row makes about 50 short numpy calls,
@@ -54,15 +61,28 @@ _PROFILE_BATCH = 256  # masks per batch; fixed so output never depends on thread
 _THREADED_ROW_GATHERS = 1 << 17
 
 
+@functools.lru_cache(maxsize=None)
+def _p_powers(p: int) -> np.ndarray:
+    """p^0, p^1, ..., every power of p below 2^62, as int64."""
+    powers = [1]
+    while powers[-1] * p < 1 << 62:
+        powers.append(powers[-1] * p)
+    table = np.array(powers, dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def _p_exponents(v, p: int) -> np.ndarray:
+    """e with v = p^e entrywise, -1 where v is not a power of p; v < 2^62."""
+    powers = _p_powers(p)
+    e = np.minimum(np.searchsorted(powers, v), powers.size - 1)
+    return np.where(powers[e] == v, e, -1)
+
+
 def _p_power_exponent(v: int, p: int) -> Optional[int]:
-    """e with v = p^e, or None."""
-    if v < 1:
-        return None
-    e = 0
-    while v % p == 0:
-        v //= p
-        e += 1
-    return e if v == 1 else None
+    """e with v = p^e, or None; v < 2^62."""
+    e = int(_p_exponents(v, p))
+    return e if e >= 0 else None
 
 
 @dataclass(frozen=True)
@@ -141,94 +161,77 @@ class AmplitudeProfile:
         }
 
 
-def _profile_batch_p2(table: FuncTable, bs: np.ndarray) -> tuple[np.ndarray, ...]:
-    pr = table.params
-    n = pr.n
-    rows = walsh_rows_signs_p2(table, bs)
-    balanced = rows[:, 0] == 0
-    support = np.count_nonzero(rows, axis=1).astype(np.int64)
-    # |W| <= 2^n fits the rows' dtype, so the absolute values overwrite them;
-    # a row is two-valued in |W|^2 exactly when it is in |W|
-    absr = np.abs(rows, out=rows)
-    top = absr.max(axis=1)
-    if int(top.min()) < 1:
+def _classify_rows(
+    p: int, n: int, mags: np.ndarray, power: int, rational: np.ndarray, balanced: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(t, balanced, max_sq, rational) for a block of spectrum rows.
+
+    mags is a (masks, p^n) block of nonnegative integers, mags^power = |W|^2
+    at every entry whose squared modulus is rational and 0 at the others;
+    rational says a row has no other entries, balanced that W(b, 0) = 0.  A
+    rational row is t-plateaued when its nonzero entries are one value and
+    its |W|^2 is p^(n+t), t >= 0; t is -1 otherwise.  max_sq is the largest
+    rational |W|^2 of each row, at most p^(2n) < 2^62 (walsh._guard_int64,
+    and n <= 30 at p = 2), so it fits int64.
+    """
+    support = np.count_nonzero(mags, axis=1)
+    top = mags.max(axis=1)
+    # a row is two-valued in |W|^2 exactly when it is in mags
+    two_valued = np.all((mags == 0) | (mags == top[:, None]), axis=1)
+    top = top.astype(np.int64)
+    if bool(np.any(rational & (top < 1))):
         raise InternalCheckError("a Walsh row is identically zero")
-    two_valued = np.all((absr == 0) | (absr == top[:, None]), axis=1)
-    amax = top.astype(np.int64)
-    vmax = amax * amax
-    powers = np.left_shift(np.int64(1), np.arange(62, dtype=np.int64))
-    lam = np.searchsorted(powers, amax)
-    pow_of_two = powers[lam] == amax
-    t = 2 * lam.astype(np.int64) - n
-    plateaued = two_valued & pow_of_two & (t >= 0)
-    bad = plateaued & (support * vmax != 1 << (2 * n))
-    if bool(bad.any()):
+    max_sq = top**power
+    # a top that is no power of p has exponent -1, so t < 0
+    t = power * _p_exponents(top, p) - n
+    plateaued = rational & two_valued & (t >= 0)
+    if bool(np.any(plateaued & (support * max_sq != p ** (2 * n)))):
         raise InternalCheckError("plateaued row support count contradicts Parseval")
-    t_out = np.where(plateaued, t, np.int64(-1))
-    return t_out, balanced, vmax
-
-
-def _profile_one_odd(table: FuncTable, b: int) -> tuple[int, bool, int, bool]:
-    pr = table.params
-    p = pr.p
-    row = walsh_row(table, b)
-    rational, sq = row.sq_moduli().integers()
-    all_rat = bool(rational.all())
-    vmax = int(sq.max())
-    t_val = -1
-    if all_rat:
-        # the nonzero squared moduli are one value exactly when none lies
-        # below the largest
-        nz = sq[sq > 0]
-        if nz.size and int(nz.min()) == vmax:
-            e = _p_power_exponent(vmax, p)
-            if e is not None and e >= pr.n:
-                t_val = e - pr.n
-                support = row.support_count()
-                if support * vmax != p ** (2 * pr.n):
-                    raise InternalCheckError(
-                        "plateaued row support count contradicts Parseval"
-                    )
-    # <b, F> is balanced exactly when W(b, 0) = 0 (see the module docstring)
-    balanced = row.value(0) == 0
-    return t_val, balanced, vmax, all_rat
+    return np.where(plateaued, t, -1), balanced, max_sq, rational
 
 
 def component_profile(table: FuncTable, threads: Optional[int] = None) -> AmplitudeProfile:
     """Classify every nonzero component; cost O(p^m) row transforms."""
     pr = table.params
-    pm = pr.codomain_size
+    p, n, pn, pm = pr.p, pr.n, pr.domain_size, pr.codomain_size
     workers = thread_count() if threads is None else threads
+    if p == 2:
+        width = 256
+
+        def rows(bs: np.ndarray) -> tuple:
+            signs = walsh_rows_signs_p2(table, bs)
+            balanced = signs[:, 0] == 0
+            # |W| <= 2^n fits the rows' dtype, so it overwrites them
+            return np.abs(signs, out=signs), 2, np.ones(bs.size, dtype=bool), balanced
+
+    else:
+        width = 32
+        if n * p ** (n + 2) < _THREADED_ROW_GATHERS:
+            workers = 1
+
+        def rows(bs: np.ndarray) -> tuple:
+            # row by row: one row's squared moduli at a time, never a group's
+            sq = np.empty((bs.size, pn), dtype=np.int64)
+            rational = np.empty(bs.size, dtype=bool)
+            balanced = np.empty(bs.size, dtype=bool)
+            for i, b in enumerate(bs.tolist()):
+                row = walsh_row(table, b)
+                rat, sq[i] = row.sq_moduli().integers()
+                rational[i] = rat.all()
+                balanced[i] = row.value(0) == 0
+            return sq, 1, rational, balanced
+
+    # masks per batch: fixed, so output never depends on the worker count
+    step = min(width, max(1, walsh._ROWS_SCRATCH // pn))
+    batches = [np.arange(lo, min(lo + step, pm), dtype=np.int64) for lo in range(1, pm, step)]
+    results = run_ordered(lambda bs: _classify_rows(p, n, *rows(bs)), batches, workers)
     t_values = np.full(pm, -1, dtype=np.int64)
     balanced = np.zeros(pm, dtype=bool)
     max_sq = np.zeros(pm, dtype=np.int64)
-    if pr.p == 2:
-        batches = [
-            np.arange(lo, min(lo + _PROFILE_BATCH, pm), dtype=np.int64)
-            for lo in range(1, pm, _PROFILE_BATCH)
-        ]
-        results = run_ordered(lambda bs: _profile_batch_p2(table, bs), batches, workers)
-        for bs, (t_out, bal, vmax) in zip(batches, results):
-            t_values[bs] = t_out
-            balanced[bs] = bal
-            max_sq[bs] = vmax
-        return AmplitudeProfile(pr, t_values, balanced, max_sq, True)
-    if pr.n * pr.p ** (pr.n + 2) < _THREADED_ROW_GATHERS:
-        workers = 1
-    all_rat = True
-    chunk = max(1, _PROFILE_BATCH // 8)
-    groups = [list(range(lo, min(lo + chunk, pm))) for lo in range(1, pm, chunk)]
-
-    def work(group: list[int]) -> list[tuple[int, bool, int, bool]]:
-        return [_profile_one_odd(table, b) for b in group]
-
-    for group, res in zip(groups, run_ordered(work, groups, workers)):
-        for b, (t_val, bal, vmax, rat) in zip(group, res):
-            t_values[b] = t_val
-            balanced[b] = bal
-            max_sq[b] = vmax
-            all_rat = all_rat and rat
-    return AmplitudeProfile(pr, t_values, balanced, max_sq, all_rat)
+    rational = np.ones(pm, dtype=bool)
+    for bs, res in zip(batches, results):
+        t_values[bs], balanced[bs], max_sq[bs], rational[bs] = res
+    return AmplitudeProfile(pr, t_values, balanced, max_sq, bool(rational.all()))
 
 
 # ---------------------------------------------------------------------------

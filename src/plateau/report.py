@@ -76,7 +76,6 @@ class AnalysisOptions:
     max_profile_log: int = 28
     max_table_log: int = 28
     timings: bool = False
-    threads: Optional[int] = None
 
 
 class Withheld(Exception):
@@ -124,7 +123,7 @@ class Analysis:
     def profile(self) -> AmplitudeProfile:
         if self._profile is None:
             require_budget(self.params, self.opts, "profile")
-            self._profile = component_profile(self.table, threads=self.opts.threads)
+            self._profile = component_profile(self.table)
         return self._profile
 
     def diff(self) -> DiffSummary:

@@ -357,6 +357,11 @@ def walsh_row(table: FuncTable, b: int) -> WalshVector:
     return WalshVector(p, n, dft_p_axes(mat, p, n, sign=-1))
 
 
+# entries of one batch of spectrum rows: the profile and the fourth-moment
+# check take at most max(1, _ROWS_SCRATCH // p^n) masks a batch
+_ROWS_SCRATCH = 1 << 22
+
+
 def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
     """Batched transformed rows for p=2: (len(bs), 2^n) in _p2_dtype(n).
 

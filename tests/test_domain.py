@@ -13,7 +13,6 @@ from plateau.domain import (
     matrix_apply,
     matrix_rank,
     vec_add,
-    vec_add_array,
     vec_add_arrays,
     vec_neg,
     vec_sub,
@@ -72,10 +71,11 @@ def test_array_ops_match_scalar_loops():
         us = rng.integers(size, size=40).astype(np.int64)
         vs = rng.integers(size, size=40).astype(np.int64)
         a = int(rng.integers(size))
-        got = vec_add_array(us, a, p, k)
-        assert got.tolist() == [o.vadd(int(u), a, p, k) for u in us]
         got = vec_add_arrays(us, vs, p, k)
         assert got.tolist() == [o.vadd(int(u), int(v), p, k) for u, v in zip(us, vs)]
+        got = vec_add_arrays(us, a, p, k)
+        assert got.dtype == us.dtype
+        assert got.tolist() == [o.vadd(int(u), a, p, k) for u in us]
         got = vec_sub_arrays(us, vs, p, k)
         assert got.tolist() == [o.vsub(int(u), int(v), p, k) for u, v in zip(us, vs)]
         got = vec_sub_arrays(us[:8, None], vs[None, :8], p, k)

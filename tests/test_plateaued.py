@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles as o
-from plateau import plateaued
+from plateau import plateaued, walsh
 from plateau._util import run_ordered
 from plateau.constructions import monomial
 from plateau.distribution import preimage_distribution
@@ -58,23 +58,36 @@ def test_profile_odd_n_cube_is_single_amplitude():
 
 
 def test_profile_matches_brute_force():
-    """Plateau parameters recomputed from oracle Walsh values, every mask."""
-    for p, n, m, seed in ((2, 4, 3, 51), (3, 3, 2, 52)):
-        tbl = random_table(p, n, m, seed)
+    """Every profile field recomputed from oracle Walsh values, every mask.
+
+    Most squared moduli of the random tables at p = 5 and 7 are irrational.
+    In row b = 1 of the (5, 2, 1) table the only rational ones are 0 and
+    25 = p^n, so only its rational flag keeps that row from reading as bent.
+    The last table's first output coordinate is the bent x0^2 + x1^2 and its
+    second is random, so its components b = (b0, 0) are rational rows and
+    the others are not."""
+    rng = np.random.default_rng(55)
+    half_bent = [
+        (x0 * x0 + x1 * x1) % 5 + 5 * int(rng.integers(5)) for x1 in range(5) for x0 in range(5)
+    ]
+    cases = ((2, 4, 3, 51), (3, 3, 2, 52), (5, 2, 2, 53), (7, 2, 1, 54), (5, 2, 1, 62))
+    tables = [random_table(*case) for case in cases]
+    tables.append(FuncTable(DomainParams(5, 2, 2), half_bent))
+    for tbl in tables:
+        p, n, m = tbl.params.p, tbl.params.n, tbl.params.m
         vals = list(tbl)
         pf = component_profile(tbl)
+        row_rational = []
         for b in range(1, p**m):
-            sqs = set()
-            rational = True
-            for a in range(p**n):
-                sq = o.rational_sq_modulus(o.walsh_counts(p, n, m, vals, b, a), p)
-                if sq is None:
-                    rational = False
-                    break
-                sqs.add(sq)
+            sqs = [
+                o.rational_sq_modulus(o.walsh_counts(p, n, m, vals, b, a), p)
+                for a in range(p**n)
+            ]
+            rational = None not in sqs
+            row_rational.append(rational)
             want = -1
             if rational:
-                nz = sorted(sqs - {0})
+                nz = sorted(set(sqs) - {0})
                 if len(nz) == 1:
                     v = nz[0]
                     # v = p^(n+t) for an integer t >= 0
@@ -85,14 +98,12 @@ def test_profile_matches_brute_force():
                     if w == v:
                         want = t
             assert int(pf.t_values[b]) == want, (p, n, m, b)
-            if want >= 0:
-                balanced = o.walsh_counts(p, n, m, vals, b, 0)
-                is_bal = o.rational_value(balanced, p) in (0, None) and all(
-                    balanced[k] == balanced[0] for k in range(p)
-                )
-                if p == 2:
-                    is_bal = balanced[0] == balanced[1]
-                assert bool(pf.balanced_mask[b]) == is_bal
+            want_max = max((sq for sq in sqs if sq is not None), default=0)
+            assert int(pf.max_sq[b]) == want_max, (p, n, m, b)
+            is_bal = o.rational_value(o.walsh_counts(p, n, m, vals, b, 0), p) == 0
+            assert bool(pf.balanced_mask[b]) == is_bal, (p, n, m, b)
+        assert pf.all_sq_rational == all(row_rational), (p, n, m)
+    assert row_rational.count(True) == 4 and not pf.all_sq_rational
 
 
 def test_profile_flags_non_plateaued():
@@ -295,3 +306,23 @@ def test_profile_thread_count_invariant():
     assert np.array_equal(one.t_values, four.t_values)
     assert np.array_equal(one.balanced_mask, four.balanced_mask)
     assert np.array_equal(one.max_sq, four.max_sq)
+
+
+def test_profile_batches_follow_row_budget(monkeypatch):
+    """With the row budget at 2^12 entries a (2, 10, 3) table's 7 masks come
+    in batches of at most 4, and the profile is unchanged."""
+    tbl = random_table(2, 10, 3, 60)
+    want = component_profile(tbl)
+    sizes = []
+
+    def spy(table, bs):
+        sizes.append(len(bs))
+        return walsh.walsh_rows_signs_p2(table, bs)
+
+    monkeypatch.setattr(walsh, "_ROWS_SCRATCH", 1 << 12)
+    monkeypatch.setattr(plateaued, "walsh_rows_signs_p2", spy)
+    got = component_profile(tbl)
+    assert sum(sizes) == 7 and max(sizes) <= 4
+    assert np.array_equal(got.t_values, want.t_values)
+    assert np.array_equal(got.balanced_mask, want.balanced_mask)
+    assert np.array_equal(got.max_sq, want.max_sq)

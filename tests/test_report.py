@@ -74,10 +74,12 @@ def test_report_is_deterministic_and_json_ready():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_report_thread_count_invariant():
+def test_report_thread_count_invariant(monkeypatch):
     tbl = random_table(2, 7, 7, 102)
-    one, _ = run_analysis(tbl, AnalysisOptions(with_profile=True, threads=1))
-    four, _ = run_analysis(tbl, AnalysisOptions(with_profile=True, threads=4))
+    monkeypatch.setenv("PLATEAU_THREADS", "1")
+    one, _ = run_analysis(tbl, AnalysisOptions(with_profile=True))
+    monkeypatch.setenv("PLATEAU_THREADS", "4")
+    four, _ = run_analysis(tbl, AnalysisOptions(with_profile=True))
     assert json.dumps(one, sort_keys=True) == json.dumps(four, sort_keys=True)
 
 

@@ -21,7 +21,6 @@ from .cyclotomic import CycInt
 from .differential import (
     DiffSummary,
     FourthMoment,
-    ddt,
     ddt_row,
     ddt_rows,
     diff_summary,
@@ -31,17 +30,14 @@ from .distribution import (
     ABClass,
     BoundPair,
     PreimageDist,
-    ShiftSearchResult,
     SurjectivityReport,
     ab_walsh_consequences,
     classify_almost_balanced,
-    find_balancing_shift,
     image_lower_bound,
     imbalance,
     imbalance_defect,
     preimage_bounds,
     preimage_distribution,
-    shifted_by_linear,
     surjectivity_certificate,
 )
 from .domain import DomainParams, FuncTable
@@ -95,7 +91,6 @@ __all__ = [
     "FuncTable",
     "InternalCheckError",
     "PreimageDist",
-    "ShiftSearchResult",
     "SurjectivityReport",
     "WalshVector",
     "ab_walsh_consequences",
@@ -107,14 +102,12 @@ __all__ = [
     "classify_almost_balanced",
     "combine",
     "component_profile",
-    "ddt",
     "ddt_row",
     "ddt_rows",
     "default_modulus",
     "detect_dto1",
     "diff_summary",
     "dto1_check",
-    "find_balancing_shift",
     "format_binary",
     "format_text",
     "fourth_moment",
@@ -135,7 +128,6 @@ __all__ = [
     "preimage_bounds",
     "preimage_distribution",
     "run_analysis",
-    "shifted_by_linear",
     "spectrum_rows",
     "surjectivity_certificate",
     "walsh_integrality_check",

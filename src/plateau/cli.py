@@ -159,6 +159,25 @@ def _kv_done(kv: dict[str, str]) -> None:
         raise FileFormatError(f"unknown arguments: {', '.join(sorted(kv))}")
 
 
+def _recipe_args(tag: str, kv: dict[str, str]) -> tuple[dict, Optional[int]]:
+    """Keyword arguments shared by the gold/mm1/mm2 builder and check, and m.
+
+    m is the optional m= argument of mm1 and mm2 (None for gold), which the
+    builders take and the checks do not.
+    """
+    m = None
+    if tag == "gold":
+        kw = {"n": _kv_int(kv, "n"), "r": _kv_int(kv, "r"), "modulus": _kv_modulus(kv)}
+    else:
+        m = _kv_int(kv, "m") if "m" in kv else None
+        if tag == "mm1":
+            kw = {"pi": _kv_lookup(kv, "pi", m), "phi": _kv_lookup(kv, "phi", m)}
+        else:
+            kw = {"i": _kv_int(kv, "i"), "pi": _kv_lookup(kv, "pi", m)}
+    _kv_done(kv)
+    return kw, m
+
+
 # ---------------------------------------------------------------------------
 # construct
 
@@ -171,23 +190,14 @@ def _build_from_dsl(kind: str, kv: dict[str, str], force: bool) -> FuncTable:
         _kv_done(kv)
         return monomial(p, n, d, modulus=mod)
     if kind == "gold-trace":
-        n = _kv_int(kv, "n")
-        r = _kv_int(kv, "r")
-        mod = _kv_modulus(kv)
-        _kv_done(kv)
-        return gold_trace(n, r, modulus=mod, force=force)
+        kw, _ = _recipe_args("gold", kv)
+        return gold_trace(**kw, force=force)
     if kind == "mm1":
-        m = _kv_int(kv, "m") if "m" in kv else None
-        pi = _kv_lookup(kv, "pi", m)
-        phi = _kv_lookup(kv, "phi", m)
-        _kv_done(kv)
-        return mm_pi_phi(pi, phi, m=m, force=force)
+        kw, m = _recipe_args("mm1", kv)
+        return mm_pi_phi(**kw, m=m, force=force)
     if kind == "mm2":
-        m = _kv_int(kv, "m") if "m" in kv else None
-        i = _kv_int(kv, "i")
-        pi = _kv_lookup(kv, "pi", m)
-        _kv_done(kv)
-        return mm_pair(pi, i, m=m, force=force)
+        kw, m = _recipe_args("mm2", kv)
+        return mm_pair(**kw, m=m, force=force)
     if kind == "compose":
         table = _kv_table(kv, "F")
         rows = _kv_matrix(kv, "L")
@@ -293,24 +303,9 @@ def _cmd_check_theorem(args: argparse.Namespace) -> int:
     elif tag in _ARG_TAGS:
         if rest:
             raise FileFormatError(f"unexpected arguments: {' '.join(rest)}")
-        if tag == "gold":
-            n = _kv_int(kv, "n")
-            r = _kv_int(kv, "r")
-            mod = _kv_modulus(kv)
-            _kv_done(kv)
-            cr = check_gold(n, r, modulus=mod, opts=opts)
-        elif tag == "mm1":
-            m = _kv_int(kv, "m") if "m" in kv else None
-            pi = _kv_lookup(kv, "pi", m)
-            phi = _kv_lookup(kv, "phi", m)
-            _kv_done(kv)
-            cr = check_mm1(pi, phi, opts=opts)
-        else:
-            m = _kv_int(kv, "m") if "m" in kv else None
-            i = _kv_int(kv, "i")
-            pi = _kv_lookup(kv, "pi", m)
-            _kv_done(kv)
-            cr = check_mm2(pi, i, opts=opts)
+        kw, _ = _recipe_args(tag, kv)
+        check = {"gold": check_gold, "mm1": check_mm1, "mm2": check_mm2}[tag]
+        cr = check(**kw, opts=opts)
     else:
         raise FileFormatError(
             f"unknown check {tag!r}; expected one of "
@@ -406,9 +401,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (FileFormatError, ConstructionError, BudgetError, ValueError) as e:
+    except (FileFormatError, ConstructionError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
+    except BudgetError as e:
+        # integer work past a kernel's int64 bound: over budget, not bad usage
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_PARTIAL
     except MemoryError as e:
         # over-budget work that no budget flag caught, not a failed check
         detail = " ".join(str(e).split())

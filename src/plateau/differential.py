@@ -20,7 +20,7 @@ import numpy as np
 from . import walsh
 from ._util import exact_sum
 from .cyclotomic import CycInt
-from .domain import FuncTable, vec_add_arrays, vec_sub_arrays
+from .domain import FuncTable, vec_neg, vec_sub_arrays
 from .errors import InternalCheckError
 from .walsh import walsh_row, walsh_rows_signs_p2
 
@@ -37,7 +37,7 @@ def ddt_row(table: FuncTable, c: int) -> np.ndarray:
     if not 0 <= c < pr.domain_size:
         raise ValueError(f"difference {c} outside [0, {pr.domain_size})")
     xs = np.arange(pr.domain_size, dtype=np.int64)
-    shifted = table.values[vec_add_arrays(xs, c, pr.p, pr.n)]
+    shifted = table.values[vec_sub_arrays(xs, vec_neg(c, pr.p, pr.n), pr.p, pr.n)]
     diffs = vec_sub_arrays(shifted, table.values, pr.p, pr.m)
     return np.bincount(diffs, minlength=pr.codomain_size)
 
@@ -93,15 +93,6 @@ def ddt_rows(table: FuncTable, include_zero: bool = False) -> Iterator[tuple[int
         rows = rows.reshape(hi - lo, pm)
         for k in range(hi - lo):
             yield lo + k, rows[k]
-
-
-def ddt(table: FuncTable) -> np.ndarray:
-    """The full (p^n - 1) x p^m table; row index c - 1."""
-    pr = table.params
-    out = np.empty((pr.domain_size - 1, pr.codomain_size), dtype=np.int64)
-    for c, row in ddt_rows(table):
-        out[c - 1] = row
-    return out
 
 
 @dataclass(frozen=True)
@@ -202,18 +193,16 @@ def _walsh_fourth_sum_all(table: FuncTable) -> "int | CycInt":
     )
 
 
-def fourth_moment(table: FuncTable, verify_walsh_side: Optional[bool] = None) -> FourthMoment:
-    """Fourth moment via the differential side, optionally cross-checked.
+def fourth_moment(table: FuncTable) -> FourthMoment:
+    """Fourth moment via the differential side, cross-checked when small.
 
-    verify_walsh_side defaults to on for tables with p^(n+m) <= 2^20; the two
-    sides must agree exactly or an internal error is raised.
+    Tables with p^(n+m) <= 2^20 also get the spectral side, and the two sides
+    must agree exactly or an internal error is raised.
     """
     pr = table.params
     diff_side = _diff_sq_sum_all(table)
     all_masks = pr.p ** (pr.n + pr.m) * diff_side
-    if verify_walsh_side is None:
-        verify_walsh_side = pr.p ** (pr.n + pr.m) <= 1 << 20
-    if verify_walsh_side:
+    if pr.p ** (pr.n + pr.m) <= 1 << 20:
         walsh_side = _walsh_fourth_sum_all(table)
         if walsh_side != all_masks:
             raise InternalCheckError(

@@ -10,7 +10,6 @@ can only mean an arithmetic bug.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import isqrt
 from typing import TYPE_CHECKING, Optional
@@ -18,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ._util import ceil_div
-from .domain import DomainParams, FuncTable, matrix_apply, vec_add_arrays
+from .domain import DomainParams, FuncTable
 from .errors import InternalCheckError
 from .verdict import CheckResult
 from .walsh import zero_column
@@ -334,67 +333,3 @@ def image_lower_bound(params: DomainParams, n_f: int) -> int:
         raise ValueError("image bound needs m <= 2n")
     pn2 = params.p ** (2 * params.n)
     return ceil_div(pn2, params.p ** (2 * params.n - params.m) + n_f)
-
-
-@dataclass(frozen=True)
-class ShiftSearchResult:
-    found: bool
-    matrix: Optional[tuple[tuple[int, ...], ...]]
-    trial_index: Optional[int]
-    trials_run: int
-    achieved_imbalance: Optional[int]
-    achieved_surjective: Optional[bool]
-
-    def as_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "matrix": None if self.matrix is None else [list(r) for r in self.matrix],
-            "trial_index": self.trial_index,
-            "trials_run": self.trials_run,
-            "achieved_imbalance": self.achieved_imbalance,
-            "achieved_surjective": self.achieved_surjective,
-        }
-
-
-def shifted_by_linear(table: FuncTable, matrix: tuple[tuple[int, ...], ...]) -> FuncTable:
-    """The table of x -> F(x) + L*x; L given as m rows of n entries."""
-    pr = table.params
-    if len(matrix) != pr.m or any(len(row) != pr.n for row in matrix):
-        raise ValueError(f"matrix must be {pr.m} rows of {pr.n} entries")
-    xs = np.arange(pr.domain_size, dtype=np.int64)
-    lx = matrix_apply(matrix, xs, pr.p, pr.n)
-    return FuncTable(pr, vec_add_arrays(table.values, lx, pr.p, pr.m))
-
-
-def find_balancing_shift(
-    table: FuncTable,
-    goal: str = "imbalance",
-    trials: Optional[int] = None,
-    seed: int = 0,
-) -> ShiftSearchResult:
-    """Randomized search for L with F+L nearly balanced or surjective.
-
-    Deterministic given the seed: trial i draws its matrix from an RNG seeded
-    by (seed, i), so any work partition returns the same first success.
-    """
-    pr = table.params
-    if goal not in ("imbalance", "surjective"):
-        raise ValueError(f"goal must be 'imbalance' or 'surjective', got {goal!r}")
-    if trials is None:
-        trials = 10 * pr.codomain_size
-    pn, pm = pr.domain_size, pr.codomain_size
-    for i in range(trials):
-        rng = random.Random(f"{seed}:{i}")
-        matrix = tuple(
-            tuple(rng.randrange(pr.p) for _ in range(pr.n)) for _ in range(pr.m)
-        )
-        shifted = shifted_by_linear(table, matrix)
-        dist = preimage_distribution(shifted)
-        if goal == "surjective":
-            if dist.image_size == pm:
-                return ShiftSearchResult(True, matrix, i, i + 1, None, True)
-        else:
-            n_g = imbalance(shifted, dist=dist)
-            if n_g * pm <= pn * pm - pn:
-                return ShiftSearchResult(True, matrix, i, i + 1, n_g, None)
-    return ShiftSearchResult(False, None, None, trials, None, None)

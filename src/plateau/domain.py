@@ -136,7 +136,8 @@ def _sub_table(p: int, g: int) -> np.ndarray:
 
 
 def vec_sub_arrays(us: np.ndarray, vs: np.ndarray, p: int, length: int) -> np.ndarray:
-    """Digitwise us - vs of broadcastable index arrays, as int64 indices."""
+    """Digitwise us - vs of broadcastable index arrays (vs may be one index),
+    as int64 indices."""
     if p == 2:
         return us ^ vs
     shape = np.broadcast_shapes(np.shape(us), np.shape(vs))
@@ -175,18 +176,6 @@ def vec_sub_arrays(us: np.ndarray, vs: np.ndarray, p: int, length: int) -> np.nd
     return out
 
 
-def vec_add_arrays(us: np.ndarray, vs: np.ndarray, p: int, length: int) -> np.ndarray:
-    """Digitwise us + vs; vs may be one index, which broadcasts."""
-    if p == 2:
-        return us ^ vs
-    out = np.zeros_like(us)
-    pk = 1
-    for _ in range(length):
-        out += ((us // pk) % p + (vs // pk) % p) % p * pk
-        pk *= p
-    return out
-
-
 def dot_array(b: int, vals: np.ndarray, p: int, length: int) -> np.ndarray:
     """<b, vals[i]> for every entry, values in [0, p)."""
     if p == 2:
@@ -209,26 +198,9 @@ def matrix_apply(
     """Encoded L*v for every entry of vals; matrix rows index output digits."""
     if any(len(row) != in_len for row in matrix):
         raise ValueError(f"matrix rows must have {in_len} entries")
-    if p == 2:
-        out = np.zeros_like(vals)
-        for j, row in enumerate(matrix):
-            mask = 0
-            for k, c in enumerate(row):
-                if c % 2:
-                    mask |= 1 << k
-            out |= ((np.bitwise_count(vals & mask) & 1).astype(np.int64)) << j
-        return out
     out = np.zeros_like(vals)
-    pj = 1
-    for row in matrix:
-        acc = np.zeros_like(vals)
-        pk = 1
-        for c in row:
-            if c % p:
-                acc += (c % p) * ((vals // pk) % p)
-            pk *= p
-        out += (acc % p) * pj
-        pj *= p
+    for j, row in enumerate(matrix):
+        out += dot_array(from_digits([c % p for c in row], p), vals, p, in_len) * p**j
     return out
 
 
@@ -344,13 +316,4 @@ class FuncTable:
         pr = self.params
         if not 0 <= beta < pr.codomain_size:
             raise ValueError(f"beta {beta} outside [0, {pr.codomain_size})")
-        nb = vec_neg(beta, pr.p, pr.m)
-        return FuncTable(pr, vec_add_arrays(self.values, nb, pr.p, pr.m))
-
-    def shifted_input(self, x0: int) -> "FuncTable":
-        """The table of x -> F(x + x0)."""
-        pr = self.params
-        if not 0 <= x0 < pr.domain_size:
-            raise ValueError(f"x0 {x0} outside [0, {pr.domain_size})")
-        xs = vec_add_arrays(np.arange(pr.domain_size, dtype=np.int64), x0, pr.p, pr.n)
-        return FuncTable(pr, self.values[xs])
+        return FuncTable(pr, vec_sub_arrays(self.values, beta, pr.p, pr.m))

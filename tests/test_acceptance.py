@@ -378,7 +378,7 @@ def _random_function_checks(problems, params, vals, where):
                 walsh_row(table, b).sq_total() == target,
                 f"{where}: Parseval violated at b = {b}",
             )
-    fm = fourth_moment(table, verify_walsh_side=True)
+    fm = fourth_moment(table)
     _check(
         problems,
         fm.all_masks - fm.restricted == p ** (4 * n),

@@ -6,8 +6,10 @@ import sys
 import sysconfig
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import plateau
 from plateau import cli
 from plateau.cli import main
 from plateau.constructions import monomial
@@ -109,6 +111,20 @@ def test_analyze_out_of_memory_exit(cube_file, capsys, monkeypatch):
     assert out == ""
     assert err == "error: out of memory: Unable to allocate 8.00 TiB for an array\n"
     assert "Traceback" not in err
+
+
+def test_analyze_past_int64_bound_exit(tmp_path, capsys):
+    """Integer work past a kernel's int64 bound is over budget, not bad usage:
+    1664543 is the least prime with p^3 >= 2^62, so its odd-p zero column
+    cannot run in int64."""
+    p = 1664543
+    path = tmp_path / "wide.bin"
+    write_function_file(FuncTable(DomainParams(p, 1, 1), np.zeros(p)), path, binary=True)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exceed the int64 budget" in err and "Traceback" not in err
 
 
 def test_analyze_missing_file(capsys):
@@ -365,6 +381,13 @@ def test_console_script_declared():
     assert scripts["plateau"] == "plateau.cli:main"
     module, attr = scripts["plateau"].split(":")
     assert getattr(importlib.import_module(module), attr) is main
+
+
+def test_package_exports_resolve():
+    """Every name in plateau.__all__ is defined on the package, once."""
+    assert len(set(plateau.__all__)) == len(plateau.__all__)
+    missing = [name for name in plateau.__all__ if not hasattr(plateau, name)]
+    assert missing == []
 
 
 def test_test_extra_lists_test_dependencies():

@@ -6,13 +6,11 @@ from plateau.constructions import gold_trace, monomial
 from plateau.distribution import (
     ab_walsh_consequences,
     classify_almost_balanced,
-    find_balancing_shift,
     image_lower_bound,
     imbalance,
     imbalance_defect,
     preimage_bounds,
     preimage_distribution,
-    shifted_by_linear,
     surjectivity_certificate,
 )
 from plateau.domain import DomainParams, FuncTable
@@ -169,44 +167,3 @@ def test_surjectivity_certificate_fires_on_balanced():
 def test_image_lower_bound_tight_on_cube_map():
     # 256 / (16 + 30) rounds up to 6, the exact image size
     assert image_lower_bound(DomainParams(2, 4, 4), 30) == 6
-
-
-def test_shifted_by_linear_matches_loop():
-    tbl = random_table(3, 3, 2, 26)
-    matrix = ((1, 2, 0), (0, 1, 1))
-    shifted = shifted_by_linear(tbl, matrix)
-    for x in range(27):
-        xd = o.digits(x, 3, 3)
-        lx = [sum(matrix[i][j] * xd[j] for j in range(3)) % 3 for i in range(2)]
-        want = o.vadd(tbl.value(x), o.undigits(lx, 3), 3, 2)
-        assert shifted.value(x) == want
-
-
-def test_find_balancing_shift_imbalance_goal():
-    tbl = random_table(2, 4, 2, 27)
-    res = find_balancing_shift(tbl, goal="imbalance", seed=5)
-    assert res.found
-    shifted = shifted_by_linear(tbl, res.matrix)
-    n_g = imbalance(shifted)
-    assert n_g == res.achieved_imbalance
-    assert n_g * 4 <= 16 * 4 - 16
-    again = find_balancing_shift(tbl, goal="imbalance", seed=5)
-    assert again.matrix == res.matrix and again.trial_index == res.trial_index
-
-
-def test_find_balancing_shift_surjective_goal():
-    pr = DomainParams(2, 4, 2)
-    tbl = FuncTable(pr, [0] * 16)
-    res = find_balancing_shift(tbl, goal="surjective", seed=1)
-    assert res.found and res.achieved_surjective
-    shifted = shifted_by_linear(tbl, res.matrix)
-    assert preimage_distribution(shifted).image_size == 4
-    with pytest.raises(ValueError):
-        find_balancing_shift(tbl, goal="nearly")
-
-
-def test_find_balancing_shift_reports_exhaustion():
-    pr = DomainParams(2, 2, 1)
-    tbl = FuncTable(pr, [0, 1, 1, 0])
-    res = find_balancing_shift(tbl, goal="surjective", trials=0)
-    assert not res.found and res.trials_run == 0 and res.matrix is None

@@ -24,6 +24,18 @@ def random_table(p, n, m, seed):
     return FuncTable(pr, rng.integers(pr.codomain_size, size=pr.domain_size))
 
 
+def spy_run_ordered(monkeypatch):
+    """Record (item count, threads) of every profile fan-out."""
+    seen = []
+
+    def spy(fn, items, threads):
+        seen.append((len(items), threads))
+        return run_ordered(fn, items, threads)
+
+    monkeypatch.setattr(plateaued, "run_ordered", spy)
+    return seen
+
+
 def corrupted_cube_map():
     """Swap two outputs of the sixteen-element cube map.
 
@@ -282,13 +294,7 @@ def test_odd_profile_thread_count_invariant(monkeypatch, p, n, m):
     crossover (3, 4, 3) and above it (3, 7, 4), where the 80 masks make
     three groups that really run on 4 workers."""
     tbl = random_table(p, n, m, 59)
-    seen = []
-
-    def spy(fn, items, threads):
-        seen.append((len(items), threads))
-        return run_ordered(fn, items, threads)
-
-    monkeypatch.setattr(plateaued, "run_ordered", spy)
+    seen = spy_run_ordered(monkeypatch)
     one = component_profile(tbl, threads=1)
     four = component_profile(tbl, threads=4)
     above = n * p ** (n + 2) >= plateaued._THREADED_ROW_GATHERS
@@ -299,10 +305,14 @@ def test_odd_profile_thread_count_invariant(monkeypatch, p, n, m):
     assert one.all_sq_rational == four.all_sq_rational
 
 
-def test_profile_thread_count_invariant():
-    tbl = random_table(2, 6, 6, 58)
+def test_profile_thread_count_invariant(monkeypatch):
+    """The 511 masks of a (2, 9, 9) table make two 256-mask batches, so the
+    4-thread profile really runs on a pool."""
+    tbl = random_table(2, 9, 9, 58)
+    seen = spy_run_ordered(monkeypatch)
     one = component_profile(tbl, threads=1)
     four = component_profile(tbl, threads=4)
+    assert seen == [(2, 1), (2, 4)]
     assert np.array_equal(one.t_values, four.t_values)
     assert np.array_equal(one.balanced_mask, four.balanced_mask)
     assert np.array_equal(one.max_sq, four.max_sq)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import plateau.report as report_mod
+from plateau import plateaued
+from plateau._util import run_ordered
 from plateau.constructions import monomial
 from plateau.distribution import imbalance
 from plateau.domain import DomainParams, FuncTable
@@ -75,11 +77,21 @@ def test_report_is_deterministic_and_json_ready():
 
 
 def test_report_thread_count_invariant(monkeypatch):
-    tbl = random_table(2, 7, 7, 102)
+    """The 511 masks of a (2, 9, 9) table make two profile batches, so the
+    4-thread report really fans out."""
+    tbl = random_table(2, 9, 9, 102)
+    seen = []
+
+    def spy(fn, items, threads):
+        seen.append((len(items), threads))
+        return run_ordered(fn, items, threads)
+
+    monkeypatch.setattr(plateaued, "run_ordered", spy)
     monkeypatch.setenv("PLATEAU_THREADS", "1")
     one, _ = run_analysis(tbl, AnalysisOptions(with_profile=True))
     monkeypatch.setenv("PLATEAU_THREADS", "4")
     four, _ = run_analysis(tbl, AnalysisOptions(with_profile=True))
+    assert seen == [(2, 1), (2, 4)]
     assert json.dumps(one, sort_keys=True) == json.dumps(four, sort_keys=True)
 
 

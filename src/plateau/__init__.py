@@ -57,8 +57,6 @@ from .fileio import (
 )
 from .plateaued import (
     AmplitudeProfile,
-    ApnStructure,
-    Dto1Report,
     apn_structure,
     check_diff_two_valued,
     component_profile,
@@ -76,7 +74,6 @@ __all__ = [
     "ABClass",
     "AmplitudeProfile",
     "AnalysisOptions",
-    "ApnStructure",
     "BoundPair",
     "BudgetError",
     "CheckResult",
@@ -84,7 +81,6 @@ __all__ = [
     "CycInt",
     "DiffSummary",
     "DomainParams",
-    "Dto1Report",
     "FieldCtx",
     "FileFormatError",
     "FourthMoment",

@@ -64,7 +64,10 @@ def thread_count() -> int:
     """Worker count: PLATEAU_THREADS if set, else cpu count (capped at 8)."""
     env = os.environ.get("PLATEAU_THREADS")
     if env is not None and env.strip():
-        k = int(env)
+        try:
+            k = int(env)
+        except ValueError:
+            raise ValueError(f"PLATEAU_THREADS must be an integer, got {env!r}") from None
         if k < 1:
             raise ValueError(f"PLATEAU_THREADS must be >= 1, got {k}")
         return k

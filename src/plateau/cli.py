@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -276,13 +278,16 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         )
         return EXIT_PARTIAL
     header = "w" if pr.p == 2 else ",".join(f"c{k}" for k in range(pr.p - 1))
-    lines = [f"b,a,{header}\n"]
-    for b, row in enumerate(spectrum_rows(table)):
-        lines.extend(
-            f"{b},{a},{','.join(map(str, cs))}\n"
-            for a, cs in enumerate(row.basis_coords().tolist())
-        )
-    _emit("".join(lines), args.output)
+    rows = spectrum_rows(table)
+    # a kernel that refuses the table does so on the first row, before any
+    # output is opened; the rest is written one row at a time
+    first = next(rows)
+    out = open(args.output, "w", encoding="ascii") if args.output else nullcontext(sys.stdout)
+    with out as fh:
+        fh.write(f"b,a,{header}\n")
+        for b, row in enumerate(chain([first], rows)):
+            coords = row.basis_coords().tolist()
+            fh.write("".join(f"{b},{a},{','.join(map(str, cs))}\n" for a, cs in enumerate(coords)))
     return EXIT_PASS
 
 

@@ -302,9 +302,7 @@ def check_gold(
                 "ab": ab.as_dict(),
             }
         )
-    if problems:
-        return CheckResult.failed(tag, "; ".join(problems), **details)
-    return CheckResult.passed(tag, **details)
+    return CheckResult.judged(tag, problems, **details)
 
 
 def check_mm1(
@@ -332,16 +330,15 @@ def check_mm1(
         got = dist.count_of(beta)
         if got != want_beta:
             problems.append(f"fiber at {beta} has size {got}, expected {want_beta}")
-    details = {
-        "case": case,
-        "betas": list(betas),
-        "histogram": [list(x) for x in dist.histogram],
-        "imbalance": an.n_f,
-        "profile": _profile_dict(an),
-    }
-    if problems:
-        return CheckResult.failed(tag, "; ".join(problems), **details)
-    return CheckResult.passed(tag, **details)
+    return CheckResult.judged(
+        tag,
+        problems,
+        case=case,
+        betas=list(betas),
+        histogram=[list(x) for x in dist.histogram],
+        imbalance=an.n_f,
+        profile=_profile_dict(an),
+    )
 
 
 def check_mm2(
@@ -369,12 +366,11 @@ def check_mm2(
         problems.append(
             f"fiber at (0,0) has size {dist.count_of(0)}, expected {big}"
         )
-    details = {
-        "i": i,
-        "histogram": [list(x) for x in dist.histogram],
-        "image_size": dist.image_size,
-        "profile": _profile_dict(an),
-    }
-    if problems:
-        return CheckResult.failed(tag, "; ".join(problems), **details)
-    return CheckResult.passed(tag, **details)
+    return CheckResult.judged(
+        tag,
+        problems,
+        i=i,
+        histogram=[list(x) for x in dist.histogram],
+        image_size=dist.image_size,
+        profile=_profile_dict(an),
+    )

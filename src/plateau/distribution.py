@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ._util import ceil_div
-from .domain import DomainParams, FuncTable
+from .domain import DomainParams, FuncTable, vec_sub_arrays
 from .errors import InternalCheckError
 from .verdict import CheckResult
 from .walsh import zero_column
@@ -52,6 +52,15 @@ class PreimageDist:
     def sum_sq_sizes(self) -> int:
         return sum(size * size * mult for size, mult in self.histogram)
 
+    def shifted_counts(self, beta: int) -> np.ndarray:
+        """The preimage counts of F - beta: the counts permuted by y -> y + beta."""
+        pr = self.params
+        if not 0 <= beta < pr.codomain_size:
+            raise ValueError(f"beta {beta} outside [0, {pr.codomain_size})")
+        out = np.empty_like(self.counts)
+        out[vec_sub_arrays(np.arange(pr.codomain_size), beta, pr.p, pr.m)] = self.counts
+        return out
+
 
 def preimage_distribution(table: FuncTable) -> PreimageDist:
     pr = table.params
@@ -65,13 +74,11 @@ def preimage_distribution(table: FuncTable) -> PreimageDist:
     return PreimageDist(pr, counts, image_size, histogram)
 
 
-def imbalance(table: FuncTable, dist: Optional[PreimageDist] = None) -> int:
+def imbalance(table: FuncTable, dist: PreimageDist) -> int:
     """N_F, from the zero column and re-derived from fiber sizes; both must agree."""
     pr = table.params
     if pr.m > 2 * pr.n:
         raise ValueError(f"imbalance needs m <= 2n for integrality; got n={pr.n} m={pr.m}")
-    if dist is None:
-        dist = preimage_distribution(table)
     pm = pr.codomain_size
     # W(0, 0) = p^n, so dropping b = 0 is exact
     sq = zero_column(table, dist.counts).sq_total() - pr.p ** (2 * pr.n)
@@ -207,17 +214,9 @@ def _verify_rider(dist: PreimageDist, witness_size: int) -> None:
             )
 
 
-def classify_almost_balanced(
-    table: FuncTable,
-    dist: Optional[PreimageDist] = None,
-    n_f: Optional[int] = None,
-) -> ABClass:
+def classify_almost_balanced(table: FuncTable, dist: PreimageDist, n_f: int) -> ABClass:
     """AB classification per the image-aware bounds, exact equality tests only."""
     pr = table.params
-    if dist is None:
-        dist = preimage_distribution(table)
-    if n_f is None:
-        n_f = imbalance(table, dist=dist)
     surjective = dist.image_size == pr.codomain_size
     rad, image = imbalance_defect(dist, n_f)
     if rad == 0:
@@ -262,8 +261,7 @@ def ab_walsh_consequences(an: "Analysis") -> CheckResult:
     if ab.kind == "not_ab":
         return CheckResult.skipped(tag, "function is not almost balanced")
     assert ab.witness is not None
-    shifted = an.table if ab.witness == 0 else an.table.shifted_output(ab.witness)
-    rational, ints = zero_column(shifted).integers()
+    rational, ints = zero_column(an.table, dist.shifted_counts(ab.witness)).integers()
     pm = pr.codomain_size
     problems: list[str] = []
     if not bool(rational[1:].all()):
@@ -294,15 +292,14 @@ def ab_walsh_consequences(an: "Analysis") -> CheckResult:
             problems.append(f"witness fiber {x0} != (p^n {'+' if ab.kind == 'type_plus' else '-'} (p^m-1)|W|)/p^m")
         if others and any(pm * u != want_rest for u in others):
             problems.append(f"non-witness fibers {others} do not match (p^n -/+ |W|)/p^m")
-    details = {
-        "witness": ab.witness,
-        "ab_type": ab.kind,
-        "common_walsh_value": common,
-        "imbalance": n_f,
-    }
-    if problems:
-        return CheckResult.failed(tag, "; ".join(problems), **details)
-    return CheckResult.passed(tag, **details)
+    return CheckResult.judged(
+        tag,
+        problems,
+        witness=ab.witness,
+        ab_type=ab.kind,
+        common_walsh_value=common,
+        imbalance=n_f,
+    )
 
 
 @dataclass(frozen=True)

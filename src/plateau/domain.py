@@ -310,10 +310,3 @@ class FuncTable:
     def __repr__(self) -> str:
         pr = self.params
         return f"FuncTable(p={pr.p}, n={pr.n}, m={pr.m})"
-
-    def shifted_output(self, beta: int) -> "FuncTable":
-        """The table of x -> F(x) - beta."""
-        pr = self.params
-        if not 0 <= beta < pr.codomain_size:
-            raise ValueError(f"beta {beta} outside [0, {pr.codomain_size})")
-        return FuncTable(pr, vec_sub_arrays(self.values, beta, pr.p, pr.m))

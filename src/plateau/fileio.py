@@ -24,6 +24,7 @@ from .errors import FileFormatError
 
 MAGIC = b"PLTB1"
 _HEADER = struct.Struct("<III")
+_PER_LINE = 16  # entries per line of the text form
 
 
 def _entry_dtype(codomain_size: int) -> np.dtype:
@@ -140,12 +141,12 @@ def parse_function_file(path: Union[str, Path]) -> FuncTable:
     return parse_function_bytes(data, str(path))
 
 
-def format_text(table: FuncTable, per_line: int = 16) -> str:
+def format_text(table: FuncTable) -> str:
     pr = table.params
     out = [f"{pr.p} {pr.n} {pr.m}"]
     vals = table.values
-    for lo in range(0, vals.size, per_line):
-        out.append(" ".join(str(int(v)) for v in vals[lo : lo + per_line]))
+    for lo in range(0, vals.size, _PER_LINE):
+        out.append(" ".join(str(int(v)) for v in vals[lo : lo + _PER_LINE]))
     return "\n".join(out) + "\n"
 
 

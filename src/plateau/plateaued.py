@@ -237,37 +237,6 @@ def component_profile(table: FuncTable, threads: Optional[int] = None) -> Amplit
 # ---------------------------------------------------------------------------
 # d-to-1 structure
 
-@dataclass(frozen=True)
-class Dto1Report:
-    """Detected d-to-1 pattern and the component counts attached to it."""
-
-    is_dto1: bool
-    d: Optional[int]
-    t: Optional[int]
-    n0: Optional[int]
-    n1: Optional[int]
-    linearity_sq: Optional[int]
-
-    def linearity(self) -> Optional[int]:
-        from math import isqrt
-
-        if self.linearity_sq is None:
-            return None
-        r = isqrt(self.linearity_sq)
-        return r if r * r == self.linearity_sq else None
-
-    def as_dict(self) -> dict:
-        return {
-            "is_dto1": self.is_dto1,
-            "d": self.d,
-            "t": self.t,
-            "n0": self.n0,
-            "n1": self.n1,
-            "linearity_sq": self.linearity_sq,
-            "linearity": self.linearity(),
-        }
-
-
 def detect_dto1(dist: PreimageDist) -> Optional[int]:
     """d when the distribution is one size-1 fiber plus size-d fibers, else None."""
     pn = dist.params.domain_size
@@ -281,7 +250,7 @@ def detect_dto1(dist: PreimageDist) -> Optional[int]:
     return None
 
 
-def dto1_check(an: "Analysis") -> tuple[Dto1Report, CheckResult]:
+def dto1_check(an: "Analysis") -> CheckResult:
     """Detect the d-to-1 pattern and verify the spectral structure it forces.
 
     For d > 2 the verified conclusions are: n even, d = p^t + 1, t | n/2,
@@ -293,20 +262,18 @@ def dto1_check(an: "Analysis") -> tuple[Dto1Report, CheckResult]:
     """
     tag = "platdto1"
     pr = an.params
-    empty = Dto1Report(False, None, None, None, None, None)
     if pr.n != pr.m:
-        return empty, CheckResult.skipped(tag, "d-to-1 analysis needs n = m")
+        return CheckResult.skipped(tag, "d-to-1 analysis needs n = m")
     d = detect_dto1(an.dist)
     if d is None:
-        return empty, CheckResult.skipped(tag, "value distribution is not d-to-1")
+        return CheckResult.skipped(tag, "value distribution is not d-to-1")
     profile = an.profile()
-    report = Dto1Report(True, d, None, profile.bent_count, None, profile.linearity_sq)
     pn = pr.domain_size
     if d == 1:
-        return report, CheckResult.skipped(tag, "function is a permutation (d = 1)")
+        return CheckResult.skipped(tag, "function is a permutation (d = 1)")
     if d == 2:
         if pr.p == 2:
-            return report, CheckResult.skipped(tag, "d = 2 at p = 2 is outside the theorem")
+            return CheckResult.skipped(tag, "d = 2 at p = 2 is outside the theorem")
         problems = []
         if not profile.all_plateaued:
             problems.append(f"{profile.not_plateaued_count} components are not plateaued")
@@ -314,11 +281,7 @@ def dto1_check(an: "Analysis") -> tuple[Dto1Report, CheckResult]:
             problems.append(
                 f"expected every component bent, got t histogram {profile.t_histogram()}"
             )
-        report = Dto1Report(True, 2, 0, profile.bent_count, 0, profile.linearity_sq)
-        details = {"d": 2, "case": "planar-2to1", "profile": profile.as_dict()}
-        if problems:
-            return report, CheckResult.failed(tag, "; ".join(problems), **details)
-        return report, CheckResult.passed(tag, **details)
+        return CheckResult.judged(tag, problems, d=2, case="planar-2to1", profile=profile.as_dict())
     t = _p_power_exponent(d - 1, pr.p)
     problems = []
     if pr.n % 2:
@@ -353,17 +316,15 @@ def dto1_check(an: "Analysis") -> tuple[Dto1Report, CheckResult]:
                 problems.append(
                     f"squared linearity {profile.linearity_sq}, expected {amp_sq}"
                 )
-    report = Dto1Report(True, d, t, expected_n0, expected_n1, profile.linearity_sq)
-    details = {
-        "d": d,
-        "t": t,
-        "expected_n0": expected_n0,
-        "expected_n1": expected_n1,
-        "profile": profile.as_dict(),
-    }
-    if problems:
-        return report, CheckResult.failed(tag, "; ".join(problems), **details)
-    return report, CheckResult.passed(tag, **details)
+    return CheckResult.judged(
+        tag,
+        problems,
+        d=d,
+        t=t,
+        expected_n0=expected_n0,
+        expected_n1=expected_n1,
+        profile=profile.as_dict(),
+    )
 
 
 def walsh_integrality_check(an: "Analysis") -> CheckResult:
@@ -382,8 +343,7 @@ def walsh_integrality_check(an: "Analysis") -> CheckResult:
     if d <= 2:
         return CheckResult.skipped(tag, f"needs d > 2, got d = {d}")
     witness = int(np.nonzero(dist.counts == 1)[0][0])
-    shifted = an.table if witness == 0 else an.table.shifted_output(witness)
-    rational, ints = zero_column(shifted).integers()
+    rational, ints = zero_column(an.table, dist.shifted_counts(witness)).integers()
     problems = []
     values: list[int] = []
     if not bool(rational.all()):
@@ -395,36 +355,11 @@ def walsh_integrality_check(an: "Analysis") -> CheckResult:
         if bool(off.any()):
             bad = int(np.argmax(off))
             problems.append(f"W({bad},0) = {int(ints[bad])} is not 1 mod d = {d}")
-    details = {"d": d, "witness": witness, "distinct_values": values}
-    if problems:
-        return CheckResult.failed(tag, "; ".join(problems), **details)
-    return CheckResult.passed(tag, **details)
+    return CheckResult.judged(tag, problems, d=d, witness=witness, distinct_values=values)
 
 
 # ---------------------------------------------------------------------------
 # APN structure
-
-@dataclass(frozen=True)
-class ApnStructure:
-    n_f: int
-    bent_count: int
-    balanced_count: int
-    image_size: int
-    min_image_attained: bool
-    distribution_type: "Optional[int | str]"
-    carlet_sum: Optional[int]
-
-    def as_dict(self) -> dict:
-        return {
-            "n_f": self.n_f,
-            "bent_count": self.bent_count,
-            "balanced_count": self.balanced_count,
-            "image_size": self.image_size,
-            "min_image_attained": self.min_image_attained,
-            "distribution_type": self.distribution_type,
-            "carlet_sum": self.carlet_sum,
-        }
-
 
 def _min_image_type(dist: PreimageDist) -> "int | str":
     pn = dist.params.domain_size
@@ -438,16 +373,16 @@ def _min_image_type(dist: PreimageDist) -> "int | str":
     return "other"
 
 
-def apn_structure(an: "Analysis") -> tuple[Optional[ApnStructure], CheckResult]:
+def apn_structure(an: "Analysis") -> CheckResult:
     """The imbalance, bent-count, and value-distribution facts forced on
     plateaued APN functions; each verified as a separate sub-check."""
     tag = "apn-structure"
     pr = an.params
     if pr.p != 2 or pr.n != pr.m:
-        return None, CheckResult.skipped(tag, "requires p = 2 and n = m")
+        return CheckResult.skipped(tag, "requires p = 2 and n = m")
     diff = an.diff()
     if not diff.apn:
-        return None, CheckResult.skipped(tag, f"not APN (differential uniformity {diff.delta})")
+        return CheckResult.skipped(tag, f"not APN (differential uniformity {diff.delta})")
     dist = an.dist
     n_f = an.n_f
     profile = an.profile()
@@ -467,16 +402,10 @@ def apn_structure(an: "Analysis") -> tuple[Optional[ApnStructure], CheckResult]:
     else:
         carlet_sum = exact_sum(profile.max_sq[1:], (pn * pn).bit_length())
         want = 2 * pn * (pn - 1)
-        if carlet_sum == want:
-            checks.append(CheckResult.passed("carlet-identity", total=carlet_sum))
-        else:
-            checks.append(
-                CheckResult.failed(
-                    "carlet-identity",
-                    f"sum of squared amplitudes {carlet_sum} != 2^(n+1)(2^n - 1) = {want}",
-                    total=carlet_sum,
-                )
-            )
+        problems = []
+        if carlet_sum != want:
+            problems.append(f"sum of squared amplitudes {carlet_sum} != 2^(n+1)(2^n - 1) = {want}")
+        checks.append(CheckResult.judged("carlet-identity", problems, total=carlet_sum))
     bent = profile.bent_count
     balanced = profile.balanced_count
     image = dist.image_size
@@ -497,16 +426,10 @@ def apn_structure(an: "Analysis") -> tuple[Optional[ApnStructure], CheckResult]:
     else:
         # n even, so 3 | 2^n + 2 and the floor below is exact
         min_image = (pn + 2) // 3
-        if 3 * bent >= 2 * (pn - 1):
-            checks.append(CheckResult.passed("bent-lower", bent_count=bent))
-        else:
-            checks.append(
-                CheckResult.failed(
-                    "bent-lower",
-                    f"bent components {bent} below 2(2^n - 1)/3 = {2 * (pn - 1) // 3}",
-                    bent_count=bent,
-                )
-            )
+        problems = []
+        if 3 * bent < 2 * (pn - 1):
+            problems.append(f"bent components {bent} below 2(2^n - 1)/3 = {2 * (pn - 1) // 3}")
+        checks.append(CheckResult.judged("bent-lower", problems, bent_count=bent))
         problems = []
         if 3 * n_f < 2 * pn - 2:
             problems.append(f"imbalance {n_f} below (2^(n+1) - 2)/3")
@@ -523,10 +446,7 @@ def apn_structure(an: "Analysis") -> tuple[Optional[ApnStructure], CheckResult]:
             problems.append(
                 f"lower bound attained: {at_lower}, but (bent, balanced) = ({bent}, {balanced})"
             )
-        if problems:
-            checks.append(CheckResult.failed("extreme-imbalance", "; ".join(problems), n_f=n_f))
-        else:
-            checks.append(CheckResult.passed("extreme-imbalance", n_f=n_f))
+        checks.append(CheckResult.judged("extreme-imbalance", problems, n_f=n_f))
         problems = []
         if n_f % 4 != 2:
             problems.append(f"imbalance {n_f} is not 2 mod 4")
@@ -534,16 +454,11 @@ def apn_structure(an: "Analysis") -> tuple[Optional[ApnStructure], CheckResult]:
             problems.append(
                 f"balanced component present but imbalance {n_f} exceeds 2^(n+1) - 6"
             )
-        if problems:
-            checks.append(CheckResult.failed("imbalance-mod4", "; ".join(problems), n_f=n_f))
-        else:
-            checks.append(CheckResult.passed("imbalance-mod4", n_f=n_f))
-        if bent % 4 == 2:
-            checks.append(CheckResult.passed("bent-mod4", bent_count=bent))
-        else:
-            checks.append(
-                CheckResult.failed("bent-mod4", f"bent count {bent} is not 2 mod 4", bent_count=bent)
-            )
+        checks.append(CheckResult.judged("imbalance-mod4", problems, n_f=n_f))
+        problems = []
+        if bent % 4 != 2:
+            problems.append(f"bent count {bent} is not 2 mod 4")
+        checks.append(CheckResult.judged("bent-mod4", problems, bent_count=bent))
         problems = []
         if 3 * image < pn + 2:
             problems.append(f"image size {image} below (2^n + 2)/3")
@@ -563,20 +478,21 @@ def apn_structure(an: "Analysis") -> tuple[Optional[ApnStructure], CheckResult]:
                 problems.append(
                     f"minimum image size attained but {balanced} components are balanced"
                 )
-        if problems:
-            checks.append(
-                CheckResult.failed(
-                    "min-image", "; ".join(problems), image_size=image, distribution_type=dist_type
-                )
+        checks.append(
+            CheckResult.judged(
+                "min-image", problems, image_size=image, distribution_type=dist_type
             )
-        else:
-            checks.append(
-                CheckResult.passed("min-image", image_size=image, distribution_type=dist_type)
-            )
-    structure = ApnStructure(
-        n_f, bent, balanced, image, min_image_attained, dist_type, carlet_sum
-    )
-    return structure, combine(tag, checks, structure=structure.as_dict())
+        )
+    structure = {
+        "n_f": n_f,
+        "bent_count": bent,
+        "balanced_count": balanced,
+        "image_size": image,
+        "min_image_attained": min_image_attained,
+        "distribution_type": dist_type,
+        "carlet_sum": carlet_sum,
+    }
+    return combine(tag, checks, structure=structure)
 
 
 # ---------------------------------------------------------------------------
@@ -618,11 +534,10 @@ def check_diff_two_valued(an: "Analysis") -> CheckResult:
                 f"{source}: delta = {diff.delta}, p^t = {pt}, but two-valued value is "
                 f"{diff.two_valued_at}"
             )
-    details = {
-        "delta": diff.delta,
-        "two_valued_at": diff.two_valued_at,
-        "cases": [{"source": s, "t": t} for s, t in ts],
-    }
-    if problems:
-        return CheckResult.failed(tag, "; ".join(problems), **details)
-    return CheckResult.passed(tag, **details)
+    return CheckResult.judged(
+        tag,
+        problems,
+        delta=diff.delta,
+        two_valued_at=diff.two_valued_at,
+        cases=[{"source": s, "t": t} for s, t in ts],
+    )

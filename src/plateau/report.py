@@ -137,7 +137,7 @@ def _platdto1(an: Analysis) -> CheckResult:
     # the d-to-1 verdict rests on the profile, so its budget is decided
     # before the check's hypotheses are
     require_budget(an.params, an.opts, "profile")
-    return dto1_check(an)[1]
+    return dto1_check(an)
 
 
 # The lambdas look the checks up among this module's globals at call time,
@@ -146,7 +146,7 @@ CHECKS: dict[str, Callable[[Analysis], CheckResult]] = {
     "platdto1": _platdto1,
     "integrality": lambda an: walsh_integrality_check(an),
     "ab-walsh": lambda an: ab_walsh_consequences(an),
-    "apn-structure": lambda an: apn_structure(an)[1],
+    "apn-structure": lambda an: apn_structure(an),
     "diff-two-valued": lambda an: check_diff_two_valued(an),
 }
 

@@ -34,6 +34,13 @@ class CheckResult:
     def skipped(cls, tag: str, reason: str, **details: Any) -> "CheckResult":
         return cls(tag, SKIPPED, reason, details)
 
+    @classmethod
+    def judged(cls, tag: str, problems: Sequence[str], **details: Any) -> "CheckResult":
+        """Fail with the problems joined by "; " when there are any, else pass."""
+        if problems:
+            return cls(tag, FAIL, "; ".join(problems), details)
+        return cls(tag, PASS, "", details)
+
     @property
     def ok(self) -> bool:
         return self.status != FAIL

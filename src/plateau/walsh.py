@@ -384,10 +384,10 @@ def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
 def zero_column(table: FuncTable, counts: Optional[np.ndarray] = None) -> WalshVector:
     """W_F(b, 0) for all b from the preimage counts: O(p^n + m * p^(m+1)).
 
-    `counts` are the table's preimage counts (PreimageDist.counts) when the
-    caller already holds them; otherwise they are counted here.  For p = 2
-    the transform runs in _p2_dtype(n): the counts total 2^n, which bounds
-    every value of the transform.
+    `counts` are the preimage counts of the table (PreimageDist.counts) or of
+    F - beta (shifted_counts) when the caller holds them; otherwise the
+    table's are counted here.  For p = 2 the transform runs in _p2_dtype(n):
+    the counts total 2^n, which bounds every value of the transform.
     """
     pr = table.params
     p, n, m = pr.p, pr.n, pr.m

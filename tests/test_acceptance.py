@@ -94,13 +94,10 @@ def test_acceptance_1_cube_map_f16():
         fm.restricted == 122880 == 15 * 2**13,
         f"fourth moment {fm.restricted} != 122880",
     )
-    structure, res = apn_structure(Analysis(table))
+    res = apn_structure(Analysis(table))
     _check(problems, res.status == "pass", f"structure check: {res.reason}")
-    _check(
-        problems,
-        structure is not None and structure.distribution_type == 1,
-        "distribution type != 1",
-    )
+    structure = res.details.get("structure", {})
+    _check(problems, structure.get("distribution_type") == 1, "distribution type != 1")
     _budget(problems, time.perf_counter() - t0, 1.0)
     _verdict(1, "x^3 on F_2^4", problems)
 
@@ -115,14 +112,11 @@ def test_acceptance_2_cube_map_f64():
     _check(problems, n_f % 4 == 2, f"imbalance {n_f} != 2 mod 4")
     profile = component_profile(table)
     diff = diff_summary(table)
-    structure, res = apn_structure(Analysis(table))
+    res = apn_structure(Analysis(table))
     _check(problems, res.status == "pass", f"structure check: {res.reason}")
-    assert structure is not None
-    _check(
-        problems,
-        structure.bent_count == 42 and structure.bent_count % 4 == 2,
-        f"bent count {structure.bent_count} != 42",
-    )
+    structure = res.details["structure"]
+    bent = structure["bent_count"]
+    _check(problems, bent == 42 and bent % 4 == 2, f"bent count {bent} != 42")
     _check(
         problems,
         profile.balanced_count == 0,
@@ -133,7 +127,7 @@ def test_acceptance_2_cube_map_f64():
         dist.image_size == 22 == (2**6 + 2) // 3,
         f"image size {dist.image_size} != 22",
     )
-    _check(problems, structure.distribution_type == 1, "distribution type != 1")
+    _check(problems, structure["distribution_type"] == 1, "distribution type != 1")
     _check(
         problems,
         diff.delta == 2 and diff.two_valued_at == 2,
@@ -229,13 +223,16 @@ def test_acceptance_4_x5_f256():
     problems = []
     t0 = time.perf_counter()
     table = monomial(2, 8, 5)
-    rep, res = dto1_check(Analysis(table))
+    res = dto1_check(Analysis(table))
     _check(problems, res.status == "pass", f"d-to-1 check: {res.reason}")
-    _check(problems, rep.d == 5 == 2**2 + 1, f"d {rep.d} != 5")
-    _check(problems, rep.t == 2 and 4 % 2 == 0, f"t {rep.t} != 2")
-    _check(problems, rep.n0 == 204, f"bent count {rep.n0} != 204")
-    _check(problems, rep.n1 == 51, f"amplitude-p^(n/2+t) count {rep.n1} != 51")
-    _check(problems, rep.linearity() == 2**6, f"linearity {rep.linearity()} != 64")
+    det = res.details
+    d, t, n0, n1 = (det.get(k) for k in ("d", "t", "expected_n0", "expected_n1"))
+    linearity = det.get("profile", {}).get("linearity")
+    _check(problems, d == 5 == 2**2 + 1, f"d {d} != 5")
+    _check(problems, t == 2 and 4 % 2 == 0, f"t {t} != 2")
+    _check(problems, n0 == 204, f"bent count {n0} != 204")
+    _check(problems, n1 == 51, f"amplitude-p^(n/2+t) count {n1} != 51")
+    _check(problems, linearity == 2**6, f"linearity {linearity} != 64")
     diff = diff_summary(table)
     _check(
         problems,
@@ -257,9 +254,10 @@ def test_acceptance_5_odd_characteristic():
     t0 = time.perf_counter()
     for n in (3, 4):
         table = monomial(3, n, 2)
-        rep, res = dto1_check(Analysis(table))
+        res = dto1_check(Analysis(table))
         _check(problems, res.status == "pass", f"x^2 on F_3^{n}: {res.reason}")
-        _check(problems, rep.d == 2, f"x^2 on F_3^{n}: d {rep.d} != 2")
+        d = res.details.get("d")
+        _check(problems, d == 2, f"x^2 on F_3^{n}: d {d} != 2")
         profile = component_profile(table)
         _check(
             problems,
@@ -267,12 +265,14 @@ def test_acceptance_5_odd_characteristic():
             f"x^2 on F_3^{n}: not all components bent: {profile.t_histogram()}",
         )
     table = monomial(3, 4, 4)
-    rep, res = dto1_check(Analysis(table))
+    res = dto1_check(Analysis(table))
     _check(problems, res.status == "pass", f"x^4 on F_3^4: {res.reason}")
-    _check(problems, rep.d == 4 == 3 + 1, f"x^4: d {rep.d} != 4")
-    _check(problems, rep.t == 1 and 2 % 1 == 0, f"x^4: t {rep.t} != 1")
-    _check(problems, rep.n0 == 60, f"x^4: bent count {rep.n0} != 60")
-    _check(problems, rep.n1 == 20, f"x^4: amplitude-9 count {rep.n1} != 20")
+    det = res.details
+    d, t, n0, n1 = (det.get(k) for k in ("d", "t", "expected_n0", "expected_n1"))
+    _check(problems, d == 4 == 3 + 1, f"x^4: d {d} != 4")
+    _check(problems, t == 1 and 2 % 1 == 0, f"x^4: t {t} != 1")
+    _check(problems, n0 == 60, f"x^4: bent count {n0} != 60")
+    _check(problems, n1 == 20, f"x^4: amplitude-9 count {n1} != 20")
     integ = walsh_integrality_check(Analysis(table))
     _check(problems, integ.status == "pass", f"x^4 integrality: {integ.reason}")
     for b, value in enumerate(zero_column(table).values()):

@@ -75,6 +75,13 @@ def test_analyze_thread_env_invariant(cube_file, capsys, monkeypatch):
     assert one == four
 
 
+def test_analyze_bad_thread_env_exit(cube_file, capsys, monkeypatch):
+    monkeypatch.setenv("PLATEAU_THREADS", "abc")
+    code, _, err = run(capsys, "analyze", cube_file, "--all")
+    assert code == 2
+    assert err == "error: PLATEAU_THREADS must be an integer, got 'abc'\n"
+
+
 def test_analyze_timings_flag(cube_file, capsys):
     _, out, _ = run(capsys, "analyze", cube_file, "--timings")
     assert "timing" in json.loads(out)
@@ -274,6 +281,21 @@ def test_spectrum_budget(cube_file, capsys):
     code, _, err = run(capsys, "spectrum", cube_file, "--max-profile-log", "4")
     assert code == 3
     assert "raise --max-profile-log" in err
+
+
+def test_spectrum_refused_by_kernel_writes_no_file(tmp_path, capsys):
+    """A spectrum refused on its first row opens no output: 1664543 is the
+    least prime with p^3 >= 2^62."""
+    p = 1664543
+    path = tmp_path / "wide.bin"
+    write_function_file(FuncTable(DomainParams(p, 1, 1), np.zeros(p)), path, binary=True)
+    dest = tmp_path / "spectrum.csv"
+    code, out, err = run(
+        capsys, "spectrum", str(path), "--max-profile-log", "50", "-o", str(dest)
+    )
+    assert code == 3
+    assert out == "" and "exceed the int64 budget" in err
+    assert not dest.exists()
 
 
 def test_check_theorem_file_tags(cube_file, capsys):

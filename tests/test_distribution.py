@@ -35,6 +35,21 @@ def test_preimage_distribution_matches_counting():
     assert dist.sum_sq_sizes() == sum(c * c for c in counts)
 
 
+def test_shifted_counts_match_recount():
+    """The counts of F - beta, against a digitwise recount of the shifted table."""
+    for p, n, m, seed in ((2, 4, 3, 26), (3, 3, 2, 27), (5, 2, 2, 28)):
+        tbl = random_table(p, n, m, seed)
+        dist = preimage_distribution(tbl)
+        pm = tbl.params.codomain_size
+        for beta in range(pm):
+            shifted = [o.vsub(v, beta, p, m) for v in tbl]
+            want = o.preimage_counts(p, n, m, shifted)
+            assert dist.shifted_counts(beta).tolist() == want
+        for beta in (-1, pm):
+            with pytest.raises(ValueError):
+                dist.shifted_counts(beta)
+
+
 def test_cube_map_frozen_distribution():
     """x^3 on sixteen elements: a 3-to-1 map with one singleton fiber at 0."""
     tbl = monomial(2, 4, 3)
@@ -70,7 +85,8 @@ def test_cube_map_frozen_bounds():
 
 def test_cube_map_is_type_minus():
     tbl = monomial(2, 4, 3)
-    ab = classify_almost_balanced(tbl)
+    dist = preimage_distribution(tbl)
+    ab = classify_almost_balanced(tbl, dist, imbalance(tbl, dist))
     assert ab.kind == "type_minus"
     assert ab.witness == 0
     assert ab.witnesses_minus == (0,)
@@ -128,14 +144,14 @@ def test_imbalance_agrees_with_oracle_both_routes():
     for p, n, m, seed in ((2, 5, 3, 22), (2, 6, 6, 23), (3, 3, 2, 24), (5, 2, 2, 25)):
         tbl = random_table(p, n, m, seed)
         want = o.imbalance(p, n, m, list(tbl))
-        assert imbalance(tbl) == want
+        assert imbalance(tbl, preimage_distribution(tbl)) == want
 
 
 def test_imbalance_rejects_wide_codomain():
     pr = DomainParams(2, 1, 3)
     tbl = FuncTable(pr, [0, 7])
     with pytest.raises(ValueError):
-        imbalance(tbl)
+        imbalance(tbl, preimage_distribution(tbl))
 
 
 def test_bounds_contain_all_sizes_randomized():

@@ -153,15 +153,3 @@ def test_from_callable():
     pr = DomainParams(3, 2, 2)
     tbl = FuncTable.from_callable(pr, lambda x: (x * 2) % 9)
     assert list(tbl) == [(x * 2) % 9 for x in range(9)]
-
-
-def test_shifted_output_subtracts_beta():
-    pr = DomainParams(3, 2, 2)
-    vals = [(x * x) % 9 for x in range(9)]
-    tbl = FuncTable(pr, vals)
-    beta = 5
-    shifted = tbl.shifted_output(beta)
-    for x in range(9):
-        assert shifted.value(x) == o.vsub(vals[x], beta, 3, 2)
-    with pytest.raises(ValueError):
-        tbl.shifted_output(9)

@@ -6,7 +6,7 @@ from plateau import plateaued, walsh
 from plateau._util import run_ordered
 from plateau.constructions import monomial
 from plateau.distribution import preimage_distribution
-from plateau.domain import DomainParams, FuncTable
+from plateau.domain import DomainParams, FuncTable, vec_sub_arrays
 from plateau.plateaued import (
     apn_structure,
     check_diff_two_valued,
@@ -147,54 +147,65 @@ def test_detect_dto1_shapes():
     assert detect_dto1(preimage_distribution(FuncTable(pr, [0, 0, 0, 1, 1, 1, 2, 3]))) is None
 
 
+def dto1_numbers(res):
+    """(d, t, expected bent count, expected count of the other amplitude)."""
+    det = res.details
+    return det["d"], det["t"], det["expected_n0"], det["expected_n1"]
+
+
 def test_dto1_cube_map_passes():
-    rep, res = dto1_check(Analysis(monomial(2, 4, 3)))
+    res = dto1_check(Analysis(monomial(2, 4, 3)))
     assert res.status == "pass"
-    assert (rep.d, rep.t, rep.n0, rep.n1) == (3, 1, 10, 5)
-    assert rep.linearity_sq == 64 and rep.linearity() == 8
-    assert res.details["expected_n0"] == 10
+    assert dto1_numbers(res) == (3, 1, 10, 5)
+    profile = res.details["profile"]
+    assert profile["linearity_sq"] == 64 and profile["linearity"] == 8
+    assert profile["bent_count"] == 10
 
 
 def test_dto1_power_five_passes():
-    rep, res = dto1_check(Analysis(monomial(2, 8, 5)))
+    res = dto1_check(Analysis(monomial(2, 8, 5)))
     assert res.status == "pass"
-    assert (rep.d, rep.t, rep.n0, rep.n1) == (5, 2, 204, 51)
-    assert rep.linearity_sq == 2**12 and rep.linearity() == 64
+    assert dto1_numbers(res) == (5, 2, 204, 51)
+    profile = res.details["profile"]
+    assert profile["linearity_sq"] == 2**12 and profile["linearity"] == 64
 
 
 def test_dto1_quartic_over_f81_passes():
-    rep, res = dto1_check(Analysis(monomial(3, 4, 4)))
+    res = dto1_check(Analysis(monomial(3, 4, 4)))
     assert res.status == "pass"
-    assert (rep.d, rep.t, rep.n0, rep.n1) == (4, 1, 60, 20)
-    assert rep.linearity_sq == 3**6
+    assert dto1_numbers(res) == (4, 1, 60, 20)
+    assert res.details["profile"]["linearity_sq"] == 3**6
 
 
 def test_dto1_planar_square_case():
-    rep, res = dto1_check(Analysis(monomial(3, 3, 2)))
+    res = dto1_check(Analysis(monomial(3, 3, 2)))
     assert res.status == "pass"
     assert res.details["case"] == "planar-2to1"
-    assert rep.d == 2 and rep.n0 == 26 and rep.n1 == 0
+    profile = res.details["profile"]
+    # all 26 components bent, none of any other amplitude
+    assert res.details["d"] == 2 and profile["bent_count"] == 26
+    assert profile["t_histogram"] == [[0, 26]]
 
 
 def test_dto1_skip_paths():
-    _, res = dto1_check(Analysis(monomial(2, 4, 3, modulus=None)))
+    res = dto1_check(Analysis(monomial(2, 4, 3, modulus=None)))
     assert res.status == "pass"
-    _, res = dto1_check(Analysis(random_table(2, 4, 3, 53)))
+    res = dto1_check(Analysis(random_table(2, 4, 3, 53)))
     assert res.status == "skipped" and "n = m" in res.reason
     pr = DomainParams(2, 3, 3)
-    _, res = dto1_check(Analysis(FuncTable(pr, list(range(8)))))
+    res = dto1_check(Analysis(FuncTable(pr, list(range(8)))))
     assert res.status == "skipped" and "permutation" in res.reason
     # d = 2 cannot happen at p = 2 (d divides the odd number 2^n - 1), so a
     # 2-to-1 pattern there is simply not d-to-1 in this sense
-    _, res = dto1_check(Analysis(FuncTable(pr, [0, 0, 1, 1, 2, 2, 3, 3])))
+    res = dto1_check(Analysis(FuncTable(pr, [0, 0, 1, 1, 2, 2, 3, 3])))
     assert res.status == "skipped" and "not d-to-1" in res.reason
-    _, res = dto1_check(Analysis(FuncTable(pr, [0] * 8)))
+    res = dto1_check(Analysis(FuncTable(pr, [0] * 8)))
     assert res.status == "skipped" and "not d-to-1" in res.reason
 
 
 def test_dto1_fails_on_corrupted_spectrum():
-    rep, res = dto1_check(Analysis(corrupted_cube_map()))
-    assert rep.is_dto1 and rep.d == 3
+    res = dto1_check(Analysis(corrupted_cube_map()))
+    assert res.details["d"] == 3
     assert res.status == "fail"
     assert "8 components are not plateaued" in res.reason
 
@@ -217,7 +228,8 @@ def test_integrality_skip_paths():
 def test_integrality_nonzero_witness():
     """Shifting the quartic moves the size-1 fiber off zero; the check must
     chase it and still pass."""
-    shifted = monomial(3, 4, 4).shifted_output(7)
+    quartic = monomial(3, 4, 4)
+    shifted = FuncTable(quartic.params, vec_sub_arrays(quartic.values, 7, 3, 4))
     res = walsh_integrality_check(Analysis(shifted))
     assert res.status == "pass"
     dist = preimage_distribution(shifted)
@@ -225,9 +237,9 @@ def test_integrality_nonzero_witness():
 
 
 def test_apn_structure_cube_map_n6():
-    st, res = apn_structure(Analysis(monomial(2, 6, 3)))
+    res = apn_structure(Analysis(monomial(2, 6, 3)))
     assert res.status == "pass"
-    assert st.as_dict() == {
+    assert res.details["structure"] == {
         "n_f": 126,
         "bent_count": 42,
         "balanced_count": 0,
@@ -249,22 +261,22 @@ def test_apn_structure_cube_map_n6():
 
 
 def test_apn_structure_odd_n_skips_even_only_facts():
-    st, res = apn_structure(Analysis(monomial(2, 5, 3)))
+    res = apn_structure(Analysis(monomial(2, 5, 3)))
     assert res.status == "pass"
     subs = {c["tag"]: c["status"] for c in res.details["checks"]}
     assert subs["kkk-imbalance"] == "pass"
     assert subs["carlet-identity"] == "pass"
     assert subs["bent-lower"] == "skipped"
     assert subs["min-image"] == "skipped"
-    assert st.bent_count == 0
+    assert res.details["structure"]["bent_count"] == 0
 
 
 def test_apn_structure_skips_non_apn():
-    _, res = apn_structure(Analysis(random_table(2, 4, 4, 55)))
+    res = apn_structure(Analysis(random_table(2, 4, 4, 55)))
     assert res.status == "skipped"
-    _, res = apn_structure(Analysis(monomial(3, 3, 2)))
+    res = apn_structure(Analysis(monomial(3, 3, 2)))
     assert res.status == "skipped"
-    _, res = apn_structure(Analysis(monomial(2, 4, 3)))
+    res = apn_structure(Analysis(monomial(2, 4, 3)))
     assert res.status == "pass"
 
 

@@ -7,7 +7,7 @@ import plateau.report as report_mod
 from plateau import plateaued
 from plateau._util import run_ordered
 from plateau.constructions import monomial
-from plateau.distribution import imbalance
+from plateau.distribution import imbalance, preimage_distribution
 from plateau.domain import DomainParams, FuncTable
 from plateau.report import (
     CHECKS,
@@ -211,7 +211,7 @@ def test_analysis_withholds_over_budget_artifacts():
     an = Analysis(tbl, AnalysisOptions(zero_column_only=True))
     with pytest.raises(Withheld, match="difference table over budget"):
         an.diff()
-    assert an.n_f == imbalance(tbl)
+    assert an.n_f == imbalance(tbl, preimage_distribution(tbl))
     assert Analysis(random_table(2, 2, 5, 107)).n_f is None
 
 

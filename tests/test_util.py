@@ -44,6 +44,9 @@ def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("PLATEAU_THREADS", "0")
     with pytest.raises(ValueError):
         thread_count()
+    monkeypatch.setenv("PLATEAU_THREADS", "abc")
+    with pytest.raises(ValueError, match="PLATEAU_THREADS must be an integer, got 'abc'"):
+        thread_count()
     monkeypatch.delenv("PLATEAU_THREADS")
     assert 1 <= thread_count() <= 8
 

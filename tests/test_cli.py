@@ -24,6 +24,16 @@ def cube_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def wide_file(tmp_path):
+    """A binary (1664543, 1, 1) table: 1664543 is the least prime with
+    p^3 >= 2^62, so its odd-p transforms cannot run in int64."""
+    p = 1664543
+    path = tmp_path / "wide.bin"
+    write_function_file(FuncTable(DomainParams(p, 1, 1), np.zeros(p)), path, binary=True)
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -120,14 +130,9 @@ def test_analyze_out_of_memory_exit(cube_file, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_analyze_past_int64_bound_exit(tmp_path, capsys):
-    """Integer work past a kernel's int64 bound is over budget, not bad usage:
-    1664543 is the least prime with p^3 >= 2^62, so its odd-p zero column
-    cannot run in int64."""
-    p = 1664543
-    path = tmp_path / "wide.bin"
-    write_function_file(FuncTable(DomainParams(p, 1, 1), np.zeros(p)), path, binary=True)
-    code, out, err = run(capsys, "analyze", str(path))
+def test_analyze_past_int64_bound_exit(wide_file, capsys):
+    """Integer work past a kernel's int64 bound is over budget, not bad usage."""
+    code, out, err = run(capsys, "analyze", wide_file)
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -283,16 +288,10 @@ def test_spectrum_budget(cube_file, capsys):
     assert "raise --max-profile-log" in err
 
 
-def test_spectrum_refused_by_kernel_writes_no_file(tmp_path, capsys):
-    """A spectrum refused on its first row opens no output: 1664543 is the
-    least prime with p^3 >= 2^62."""
-    p = 1664543
-    path = tmp_path / "wide.bin"
-    write_function_file(FuncTable(DomainParams(p, 1, 1), np.zeros(p)), path, binary=True)
+def test_spectrum_refused_by_kernel_writes_no_file(wide_file, tmp_path, capsys):
+    """A spectrum refused on its first row opens no output."""
     dest = tmp_path / "spectrum.csv"
-    code, out, err = run(
-        capsys, "spectrum", str(path), "--max-profile-log", "50", "-o", str(dest)
-    )
+    code, out, err = run(capsys, "spectrum", wide_file, "--max-profile-log", "50", "-o", str(dest))
     assert code == 3
     assert out == "" and "exceed the int64 budget" in err
     assert not dest.exists()

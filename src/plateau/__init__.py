@@ -21,7 +21,6 @@ from .cyclotomic import CycInt
 from .differential import (
     DiffSummary,
     FourthMoment,
-    ddt_row,
     ddt_rows,
     diff_summary,
     fourth_moment,
@@ -98,7 +97,6 @@ __all__ = [
     "classify_almost_balanced",
     "combine",
     "component_profile",
-    "ddt_row",
     "ddt_rows",
     "default_modulus",
     "detect_dto1",

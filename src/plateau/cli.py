@@ -109,18 +109,19 @@ def _kv_modulus(kv: dict[str, str]) -> Optional[list[int]]:
         ) from None
 
 
-def _kv_table(kv: dict[str, str], key: str) -> FuncTable:
+def _kv_file(kv: dict[str, str], key: str) -> Path:
+    """The path named by a key=@FILE argument."""
     if key not in kv:
         raise FileFormatError(f"missing required argument {key}=@FILE")
     raw = kv.pop(key)
     if not raw.startswith("@"):
         raise FileFormatError(f"argument {key} must reference a file: {key}=@FILE")
-    return parse_function_file(raw[1:])
+    return Path(raw[1:])
 
 
 def _kv_lookup(kv: dict[str, str], key: str, m: Optional[int]) -> list[int]:
     """A component map pi/phi given as an ordinary table file with p=2, n=m."""
-    table = _kv_table(kv, key)
+    table = parse_function_file(_kv_file(kv, key))
     pr = table.params
     if pr.p != 2 or pr.n != pr.m:
         raise FileFormatError(
@@ -132,12 +133,7 @@ def _kv_lookup(kv: dict[str, str], key: str, m: Optional[int]) -> list[int]:
 
 
 def _kv_matrix(kv: dict[str, str], key: str) -> list[list[int]]:
-    if key not in kv:
-        raise FileFormatError(f"missing required argument {key}=@FILE")
-    raw = kv.pop(key)
-    if not raw.startswith("@"):
-        raise FileFormatError(f"argument {key} must reference a file: {key}=@FILE")
-    path = Path(raw[1:])
+    path = _kv_file(kv, key)
     try:
         lines = path.read_text(encoding="ascii").splitlines()
     except OSError as e:
@@ -201,7 +197,7 @@ def _build_from_dsl(kind: str, kv: dict[str, str], force: bool) -> FuncTable:
         kw, m = _recipe_args("mm2", kv)
         return mm_pair(**kw, m=m, force=force)
     if kind == "compose":
-        table = _kv_table(kv, "F")
+        table = parse_function_file(_kv_file(kv, "F"))
         rows = _kv_matrix(kv, "L")
         _kv_done(kv)
         return linear_compose(table, rows)

@@ -1,13 +1,14 @@
 """Difference distribution tables, uniformity, and fourth-moment identities.
 
 A DDT row for the input difference c counts solutions of F(x+c) - F(x) = d.
-Rows are produced lazily, a chunk of input differences at a time, so
-summaries never hold more than _SCRATCH counts or gathered values at once (or
-one row, when p^n or p^m alone is larger).  The fourth moment of the Walsh
-spectrum is computed on the differential side, p^(n+m) * sum of squared
-difference-map fiber sizes, which equals the spectral sum over all (b, a); the
-spectral side is recomputed directly as a cross-check whenever the table is
-small enough.
+One kernel, ddt_rows, serves every p: the index x - c and the difference
+F(x) - F(x - c) both come from domain.vec_sub_arrays.  Rows are produced
+lazily, a chunk of input differences at a time, so summaries never hold more
+than _SCRATCH counts or gathered values at once (or one row, when p^n or p^m
+alone is larger).  The fourth moment of the Walsh spectrum is computed on
+the differential side, p^(n+m) * sum of squared difference-map fiber sizes,
+which equals the spectral sum over all (b, a); the spectral side is
+recomputed directly as a cross-check whenever the table is small enough.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import walsh
 from ._util import exact_sum
 from .cyclotomic import CycInt
-from .domain import FuncTable, vec_neg, vec_sub_arrays
+from .domain import FuncTable, vec_sub_arrays
 from .errors import InternalCheckError
 from .walsh import walsh_row, walsh_rows_signs_p2
 
@@ -31,68 +32,32 @@ from .walsh import walsh_row, walsh_rows_signs_p2
 _SCRATCH = 1 << 16
 
 
-def ddt_row(table: FuncTable, c: int) -> np.ndarray:
-    """Counts of F(x+c) - F(x) = d over all x, indexed by d."""
-    pr = table.params
-    if not 0 <= c < pr.domain_size:
-        raise ValueError(f"difference {c} outside [0, {pr.domain_size})")
-    xs = np.arange(pr.domain_size, dtype=np.int64)
-    shifted = table.values[vec_sub_arrays(xs, vec_neg(c, pr.p, pr.n), pr.p, pr.n)]
-    diffs = vec_sub_arrays(shifted, table.values, pr.p, pr.m)
-    return np.bincount(diffs, minlength=pr.codomain_size)
+def ddt_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
+    """(c, row) pairs for every c != 0, in ascending c order.
 
-
-def ddt_rows(table: FuncTable, include_zero: bool = False) -> Iterator[tuple[int, np.ndarray]]:
-    """(c, row) pairs in ascending c order, skipping c = 0 unless asked.
-
-    Rows are computed in chunks of input differences, each chunk's rows
-    sharing one block; callers must not hold references across iterations
-    (copy if needed).
+    Row c counts F(x) - F(x - c) = d over x, which after x -> x - c is the
+    count of F(x + c) - F(x) = d.  Rows are computed in chunks of input
+    differences, each chunk's rows sharing one block; callers must not hold
+    references across iterations (copy if needed).
     """
     pr = table.params
-    p, n = pr.p, pr.n
+    p, n, m = pr.p, pr.n, pr.m
     pn, pm = pr.domain_size, pr.codomain_size
-    start = 0 if include_zero else 1
     chunk = max(1, _SCRATCH // max(pn, pm))
-    if p == 2:
-        # values below p^m and indices below p^n in the narrowest dtypes;
-        # only the bincount key is widened to int64
-        vals = table.values.astype(np.min_scalar_type(pm - 1))
-        xs = np.arange(pn, dtype=np.min_scalar_type(pn - 1))
-
-        def diffs_of(lo: int, hi: int) -> np.ndarray:
-            cs = np.arange(lo, hi, dtype=xs.dtype)
-            diffs = vals.take(xs[None, :] ^ cs[:, None])
-            diffs ^= vals
-            return diffs.astype(np.int64)
-
-    else:
-        # viewed as (chunk, p, ..., p), the index of x + c is the sum over
-        # digits k of ((x_k + c_k) % p) * p^k, and x_k varies only along axis
-        # n - k, so each digit is one broadcast (chunk, p) term added in place
-        digit = np.arange(p, dtype=np.int64)
-        powers = p ** np.arange(n, dtype=np.int64)
-
-        def diffs_of(lo: int, hi: int) -> np.ndarray:
-            cs = np.arange(lo, hi, dtype=np.int64)
-            idx = np.zeros((hi - lo,) + (p,) * n, dtype=np.int64)
-            c_digits = (cs[:, None] // powers) % p
-            for k in range(n):
-                term = (c_digits[:, k, None] + digit) % p * powers[k]
-                idx += term.reshape((-1,) + (1,) * (n - 1 - k) + (p,) + (1,) * k)
-            idx = idx.reshape(-1, pn)
-            return vec_sub_arrays(table.values[idx], table.values[None, :], p, pr.m)
-
+    # values and indices in the narrowest dtypes, which the XOR of
+    # vec_sub_arrays keeps at p = 2; only the bincount key is int64 at every p
+    vals = table.values.astype(np.min_scalar_type(pm - 1))
+    xs = np.arange(pn, dtype=np.min_scalar_type(pn - 1))
     offsets = np.arange(chunk, dtype=np.int64)[:, None] * pm
-    for lo in range(start, pn, chunk):
+    for lo in range(1, pn, chunk):
         hi = min(lo + chunk, pn)
+        cs = np.arange(lo, hi, dtype=xs.dtype)[:, None]
+        shifted = vals.take(vec_sub_arrays(xs, cs, p, n))
         # row k of the chunk counts into bins k * p^m ... (k + 1) * p^m - 1
-        key = diffs_of(lo, hi)
+        key = vec_sub_arrays(vals, shifted, p, m).astype(np.int64)
         key += offsets[: hi - lo]
         rows = np.bincount(key.reshape(-1), minlength=(hi - lo) * pm)
-        rows = rows.reshape(hi - lo, pm)
-        for k in range(hi - lo):
-            yield lo + k, rows[k]
+        yield from zip(range(lo, hi), rows.reshape(hi - lo, pm))
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,24 @@ squared cross-multiplied integers — (D*x - A)^2 vs R — so equality of a fibe
 size with a bound is exact, never rounded.  The imbalance is always computed
 twice (zero-column transform vs. sum of squared fiber sizes) and the two
 routes must agree to the bit; a mismatch raises InternalCheckError because it
-can only mean an arithmetic bug.
+can only mean an arithmetic bug.  The imbalance and the checks that need the
+zero column of F - beta share one transform, PreimageDist.zero_col.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ._util import ceil_div
-from .domain import DomainParams, FuncTable, vec_sub_arrays
+from .domain import DomainParams, FuncTable, dot_array
 from .errors import InternalCheckError
 from .verdict import CheckResult
-from .walsh import zero_column
+from .walsh import WalshVector, zero_column
 
 if TYPE_CHECKING:
     from .report import Analysis
@@ -52,14 +54,20 @@ class PreimageDist:
     def sum_sq_sizes(self) -> int:
         return sum(size * size * mult for size, mult in self.histogram)
 
-    def shifted_counts(self, beta: int) -> np.ndarray:
-        """The preimage counts of F - beta: the counts permuted by y -> y + beta."""
+    @cached_property
+    def zero_col(self) -> WalshVector:
+        """W_F(b, 0) for every b, transformed once and shared; read-only."""
+        col = zero_column(self)
+        col.data.setflags(write=False)
+        return col
+
+    def shifted_zero_col(self, beta: int) -> WalshVector:
+        """W_{F - beta}(b, 0) = zeta^(-<b, beta>) W_F(b, 0) for every b."""
         pr = self.params
         if not 0 <= beta < pr.codomain_size:
             raise ValueError(f"beta {beta} outside [0, {pr.codomain_size})")
-        out = np.empty_like(self.counts)
-        out[vec_sub_arrays(np.arange(pr.codomain_size), beta, pr.p, pr.m)] = self.counts
-        return out
+        phase = dot_array(beta, np.arange(pr.codomain_size), pr.p, pr.m)
+        return self.zero_col.rotated(-phase % pr.p)
 
 
 def preimage_distribution(table: FuncTable) -> PreimageDist:
@@ -74,14 +82,14 @@ def preimage_distribution(table: FuncTable) -> PreimageDist:
     return PreimageDist(pr, counts, image_size, histogram)
 
 
-def imbalance(table: FuncTable, dist: PreimageDist) -> int:
+def imbalance(dist: PreimageDist) -> int:
     """N_F, from the zero column and re-derived from fiber sizes; both must agree."""
-    pr = table.params
+    pr = dist.params
     if pr.m > 2 * pr.n:
         raise ValueError(f"imbalance needs m <= 2n for integrality; got n={pr.n} m={pr.m}")
     pm = pr.codomain_size
     # W(0, 0) = p^n, so dropping b = 0 is exact
-    sq = zero_column(table, dist.counts).sq_total() - pr.p ** (2 * pr.n)
+    sq = dist.zero_col.sq_total() - pr.p ** (2 * pr.n)
     if not isinstance(sq, int) or sq % pm:
         raise InternalCheckError(f"sum of squared zero-column moduli {sq} not divisible by p^m")
     from_walsh = sq // pm
@@ -261,7 +269,7 @@ def ab_walsh_consequences(an: "Analysis") -> CheckResult:
     if ab.kind == "not_ab":
         return CheckResult.skipped(tag, "function is not almost balanced")
     assert ab.witness is not None
-    rational, ints = zero_column(an.table, dist.shifted_counts(ab.witness)).integers()
+    rational, ints = dist.shifted_zero_col(ab.witness).integers()
     pm = pr.codomain_size
     problems: list[str] = []
     if not bool(rational[1:].all()):

@@ -11,11 +11,11 @@ T[u * p^g + v] is the index of the digitwise difference u - v, with u and v
 below p^g.  Length-k operands split into the fewest groups whose table has
 at most _DIGIT_TABLE = 2^16 entries, g = ceil(k / groups) digits each, so
 every table value is below p^g <= 2^8 and the table is uint8, 64 KiB at
-most.  Each group costs one division of the operands by p^(g*i) and one
-gather; the gathered values are widened to int64 before they are scaled by
-p^(g*i) and accumulated, since the scaled values overflow any narrow dtype.
-When the operands fit one group the whole subtraction is one gather.  Primes
-with p^2 > 2^16 have no table and keep the per-digit loop.
+most.  Each group costs one division of each operand by p^(g*i), before
+the operands are broadcast together, and one gather; the gathered values are
+widened to int64 before they are scaled by p^(g*i) and accumulated, since the
+scaled values overflow any narrow dtype.  Primes with p^2 > 2^16 have no
+table and keep the per-digit loop.
 """
 
 from __future__ import annotations
@@ -30,17 +30,20 @@ _MAX_INDEX = 1 << 62
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Miller-Rabin to the first twelve prime bases, which no composite below
+    3.3 * 10^24 passes, so exact for every p < 2^62 that DomainParams tests."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % a == 0 for a in bases):
+        return p in bases
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # p - 1 = d * 2^s with d odd: a prime p has a^d = 1 or a^(d * 2^k) = -1
+    # for some k < s
+    for a in bases:
+        x = pow(a, d, p)
+        if x != 1 and p - 1 not in [pow(x, 1 << k, p) for k in range(s)]:
             return False
-        d += 2
     return True
 
 
@@ -136,8 +139,9 @@ def _sub_table(p: int, g: int) -> np.ndarray:
 
 
 def vec_sub_arrays(us: np.ndarray, vs: np.ndarray, p: int, length: int) -> np.ndarray:
-    """Digitwise us - vs of broadcastable index arrays (vs may be one index),
-    as int64 indices."""
+    """Digitwise us - vs of broadcastable index arrays (vs may be one index)
+    of any integer dtype: XOR in the operands' dtype at p = 2, int64 indices
+    at odd p."""
     if p == 2:
         return us ^ vs
     shape = np.broadcast_shapes(np.shape(us), np.shape(vs))
@@ -145,29 +149,23 @@ def vec_sub_arrays(us: np.ndarray, vs: np.ndarray, p: int, length: int) -> np.nd
     if g:
         table = _sub_table(p, g)
         q = p**g
-        out = np.empty(shape, dtype=np.int64)
-        key = np.empty(shape, dtype=np.int64)
+        out = np.zeros(shape, dtype=np.int64)
         for lo in range(0, length, g):
-            # key = (group of u) * q + (group of v), built in place
+            # each operand's digit group is cut out before the two are
+            # broadcast together; u's is scaled by q, so it is widened first
             pk = p**lo
-            if lo:
-                np.floor_divide(us, pk, out=key)
-            else:
-                np.copyto(key, us)
+            ug = np.floor_divide(us, pk, dtype=np.int64)
             vg = vs // pk
             if lo + g < length:
-                key %= q
+                ug %= q
                 vg %= q
-            key *= q
-            key += vg
-            part = table.take(key)
-            if lo:
-                # widen before scaling: p^lo times a group overflows uint8
-                np.multiply(part, pk, out=key, dtype=np.int64)
-                out += key
-            else:
-                out[...] = part
+            ug *= q
+            part = table.take(np.add(ug, vg, dtype=np.int64))
+            # widen before scaling: p^lo times a group overflows uint8
+            out += np.multiply(part, pk, dtype=np.int64)
         return out
+    # the digits are subtracted, so unsigned operands are widened first
+    us, vs = np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
     out = np.zeros(shape, dtype=np.int64)
     pk = 1
     for _ in range(length):
@@ -239,14 +237,15 @@ class DomainParams:
     m: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"dimensions must be >= 1, got n={self.n} m={self.m}")
-        if self.p ** self.n >= _MAX_INDEX or self.p ** self.m >= _MAX_INDEX:
-            raise ValueError(
-                f"p^n and p^m must stay below 2^62; got p={self.p} n={self.n} m={self.m}"
-            )
+        p, n, m = self.p, self.n, self.m
+        if n < 1 or m < 1:
+            raise ValueError(f"dimensions must be >= 1, got n={n} m={m}")
+        # each bound is checked before the power it guards, and all of them
+        # before the primality test, so no header costs bigint arithmetic
+        if p >= 2 and (p >= _MAX_INDEX or max(n, m) >= 62 or p ** max(n, m) >= _MAX_INDEX):
+            raise ValueError(f"p^n and p^m must stay below 2^62; got p={p} n={n} m={m}")
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
 
     @property
     def domain_size(self) -> int:

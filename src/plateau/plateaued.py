@@ -32,9 +32,9 @@ import numpy as np
 
 from . import walsh
 from ._util import exact_sum, run_ordered, thread_count
-# the checks take their artifacts from an Analysis; diff_summary and
-# preimage_distribution stay importable here because perfbench/tracer.py
-# wraps them under these names
+# the checks take their artifacts from an Analysis; diff_summary,
+# preimage_distribution and zero_column stay importable here because
+# perfbench/tracer.py wraps them under these names
 from .differential import diff_summary
 from .distribution import PreimageDist, preimage_distribution
 from .domain import DomainParams, FuncTable
@@ -343,7 +343,7 @@ def walsh_integrality_check(an: "Analysis") -> CheckResult:
     if d <= 2:
         return CheckResult.skipped(tag, f"needs d > 2, got d = {d}")
     witness = int(np.nonzero(dist.counts == 1)[0][0])
-    rational, ints = zero_column(an.table, dist.shifted_counts(witness)).integers()
+    rational, ints = dist.shifted_zero_col(witness).integers()
     problems = []
     values: list[int] = []
     if not bool(rational.all()):

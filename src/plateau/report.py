@@ -113,7 +113,7 @@ class Analysis:
     def n_f(self) -> Optional[int]:
         """The imbalance N_F, or None when m > 2n (it need not be an integer)."""
         pr = self.params
-        return None if pr.m > 2 * pr.n else imbalance(self.table, dist=self.dist)
+        return None if pr.m > 2 * pr.n else imbalance(self.dist)
 
     @cached_property
     def ab(self) -> ABClass:

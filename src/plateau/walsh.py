@@ -30,7 +30,8 @@ counts and basis coordinates, and never index its storage.
 
 The zero column W_F(b, 0) over all b depends only on the value distribution
 and is computed as the length-p^m transform of the preimage count vector,
-never touching the full spectrum.
+never touching the full spectrum, once per table (PreimageDist.zero_col).
+The column of F - beta is that one times zeta^(-<b, beta>) (rotated).
 
 `walsh_point` is the deliberately naive direct summation used as the
 reference oracle for every fast path.
@@ -39,7 +40,7 @@ reference oracle for every fast path.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -47,6 +48,9 @@ from ._util import exact_square_sum, exact_sum
 from .cyclotomic import CycInt
 from .domain import DomainParams, FuncTable, dot, dot_array
 from .errors import BudgetError
+
+if TYPE_CHECKING:
+    from .distribution import PreimageDist
 
 
 def component_values(table: FuncTable, b: int) -> np.ndarray:
@@ -266,10 +270,10 @@ class WalshVector:
     Every value is a sum of p^n p-th roots of unity (|W|^2 of a vector at n
     is one at 2n).  The storage layout is private to this class: a 1-D
     integer array at p = 2, an (N, p) matrix of exponent coefficients for
-    odd p.  Only basis_coords and sq_moduli read it; every other accessor
-    works on the basis coordinates.  Squares and squared moduli stay in int64
-    while _fits_int64 says so and switch to Python ints (object arrays)
-    beyond.
+    odd p.  Only basis_coords, sq_moduli and rotated read it; every other
+    accessor works on the basis coordinates.  Squares and squared moduli stay
+    in int64 while _fits_int64 says so and switch to Python ints (object
+    arrays) beyond.
     """
 
     __slots__ = ("p", "n", "data")
@@ -323,9 +327,17 @@ class WalshVector:
         of the stored values, so callers must not write to it."""
         coords = self.basis_coords()
         rational = ~np.any(coords[:, 1:], axis=1)
-        ints = coords[:, 0]
-        ints[~rational] = 0
+        ints = coords[:, 0] if rational.all() else np.where(rational, coords[:, 0], 0)
         return rational, ints
+
+    def rotated(self, exps: np.ndarray) -> "WalshVector":
+        """The vector whose entry i is v_i * zeta^exps[i], exps in [0, p);
+        zeta = -1 at p = 2."""
+        if self.p == 2:
+            return WalshVector(2, self.n, np.where(exps == 0, self.data, -self.data))
+        # the coefficient of zeta^k moves to zeta^(k + e)
+        shift = (np.arange(self.p) - exps[:, None]) % self.p
+        return WalshVector(self.p, self.n, np.take_along_axis(self.data, shift, axis=1))
 
     def support_count(self) -> int:
         """Number of nonzero entries."""
@@ -381,29 +393,19 @@ def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
     return _sign_transform(fb, pr.n)
 
 
-def zero_column(table: FuncTable, counts: Optional[np.ndarray] = None) -> WalshVector:
-    """W_F(b, 0) for all b from the preimage counts: O(p^n + m * p^(m+1)).
+def zero_column(dist: "PreimageDist") -> WalshVector:
+    """W_F(b, 0) for all b from the preimage counts of F: O(m * p^(m+1)).
 
-    `counts` are the preimage counts of the table (PreimageDist.counts) or of
-    F - beta (shifted_counts) when the caller holds them; otherwise the
-    table's are counted here.  For p = 2 the transform runs in _p2_dtype(n):
-    the counts total 2^n, which bounds every value of the transform.
+    For p = 2 the transform runs in _p2_dtype(n): the counts total 2^n, which
+    bounds every value of the transform.
     """
-    pr = table.params
+    pr = dist.params
     p, n, m = pr.p, pr.n, pr.m
-    if counts is None:
-        counts = np.bincount(table.values, minlength=pr.codomain_size)
-    elif (
-        counts.shape != (pr.codomain_size,)
-        or int(counts.min()) < 0
-        or int(counts.sum()) != pr.domain_size
-    ):
-        raise ValueError(f"counts are not the preimage counts of {table!r}")
     if p == 2:
-        return WalshVector(2, n, fwht_last_axis(counts.astype(_p2_dtype(n))))
+        return WalshVector(2, n, fwht_last_axis(dist.counts.astype(_p2_dtype(n))))
     _guard_int64(p, n)
     mat = np.zeros((pr.codomain_size, p), dtype=np.int64)
-    mat[:, 0] = counts
+    mat[:, 0] = dist.counts
     return WalshVector(p, n, dft_p_axes(mat, p, m, sign=+1))
 
 

@@ -66,7 +66,7 @@ def test_acceptance_1_cube_map_f16():
     t0 = time.perf_counter()
     table = monomial(2, 4, 3)
     dist = preimage_distribution(table)
-    n_f = imbalance(table, dist=dist)
+    n_f = imbalance(dist)
     _check(problems, n_f == 30, f"imbalance {n_f} != 30")
     rad, den = imbalance_defect(dist, n_f)
     root = isqrt(rad)
@@ -107,7 +107,7 @@ def test_acceptance_2_cube_map_f64():
     t0 = time.perf_counter()
     table = monomial(2, 6, 3)
     dist = preimage_distribution(table)
-    n_f = imbalance(table, dist=dist)
+    n_f = imbalance(dist)
     _check(problems, n_f == 126 == 2**7 - 2, f"imbalance {n_f} != 126")
     _check(problems, n_f % 4 == 2, f"imbalance {n_f} != 2 mod 4")
     profile = component_profile(table)
@@ -171,7 +171,7 @@ def _gold_half(problems, n, r):
     small = 2**k - 2**d
     table = gold_trace(n, r)
     dist = preimage_distribution(table)
-    n_f = imbalance(table, dist=dist)
+    n_f = imbalance(dist)
     want_nf = 2 ** (2 * d + k) * (2**k - 1)
     _check(problems, n_f == want_nf, f"n={n} r={r}: imbalance {n_f} != {want_nf}")
     _gold_components(problems, n, r, component_profile(table))
@@ -275,7 +275,7 @@ def test_acceptance_5_odd_characteristic():
     _check(problems, n1 == 20, f"x^4: amplitude-9 count {n1} != 20")
     integ = walsh_integrality_check(Analysis(table))
     _check(problems, integ.status == "pass", f"x^4 integrality: {integ.reason}")
-    for b, value in enumerate(zero_column(table).values()):
+    for b, value in enumerate(zero_column(preimage_distribution(table)).values()):
         if b == 0:
             continue
         w = value.as_integer()
@@ -344,7 +344,7 @@ def _random_function_checks(problems, params, vals, where):
     p, n, m = params.p, params.n, params.m
     table = FuncTable(params, vals)
     dist = preimage_distribution(table)
-    zc = zero_column(table)
+    zc = zero_column(dist)
     sq = zc.sq_total() - p ** (2 * n)
     _check(problems, sq % p**m == 0, f"{where}: zero-column square sum not divisible")
     from_walsh = sq // p**m
@@ -435,7 +435,7 @@ def test_acceptance_9_performance():
     def zero_column_analysis():
         table = FuncTable(params, vals)
         dist = preimage_distribution(table)
-        n_f = imbalance(table, dist=dist)
+        n_f = imbalance(dist)
         aware, free = preimage_bounds(dist, n_f)
         ab = classify_almost_balanced(table, dist=dist, n_f=n_f)
         return (n_f, dist.histogram, aware, free, ab)

@@ -1,20 +1,24 @@
 import importlib.metadata
 import json
+import re
 import shutil
+import struct
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import plateau
-from plateau import cli
+from plateau import cli, distribution
 from plateau.cli import main
 from plateau.constructions import monomial
 from plateau.domain import DomainParams, FuncTable
-from plateau.fileio import parse_function_file, write_function_file
+from plateau.fileio import MAGIC, parse_function_file, write_function_file
+from plateau.walsh import zero_column
 
 
 @pytest.fixture()
@@ -183,6 +187,28 @@ def test_analyze_rejects_header_larger_than_file(tmp_path, capsys):
         assert err.startswith("error:") and "header promises 1099511627776 entries" in err
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        MAGIC + struct.pack("<III", 3, 10**8, 1),
+        MAGIC + struct.pack("<III", 3, 2**32 - 1, 1),
+        b"10000000000000061 1 1\n0\n",
+        # 2^89 - 1 is prime, far above 2^62
+        b"618970019642690137449562111 1 1\n0\n",
+    ],
+    ids=["binary-n-10^8", "binary-n-2^32-1", "text-p-10^16+61", "text-p-2^89-1"],
+)
+def test_bad_headers_exit_at_once(tmp_path, capsys, blob):
+    """Sizes are refused before any power is taken and primality is a
+    Miller-Rabin test, so no header takes bigint or trial-division time."""
+    path = tmp_path / "head"
+    path.write_bytes(blob)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_construct_monomial_round_trip(tmp_path, capsys):
     dest = tmp_path / "t.txt"
     code, _, _ = run(capsys, "construct", "monomial", "p=3", "n=2", "d=2", "-o", str(dest))
@@ -259,6 +285,20 @@ def test_construct_argument_errors(capsys):
     assert code == 2 and "unknown construction" in err
 
 
+def test_construct_file_argument_errors(cube_file, capsys):
+    """Table and matrix arguments share one key=@FILE reader."""
+    code, _, err = run(capsys, "construct", "compose", f"L=@{cube_file}")
+    assert code == 2 and "missing required argument F=@FILE" in err
+    code, _, err = run(capsys, "construct", "compose", f"F={cube_file}", f"L=@{cube_file}")
+    assert code == 2 and "argument F must reference a file: F=@FILE" in err
+    code, _, err = run(capsys, "construct", "compose", f"F=@{cube_file}")
+    assert code == 2 and "missing required argument L=@FILE" in err
+    code, _, err = run(capsys, "construct", "compose", f"F=@{cube_file}", f"L={cube_file}")
+    assert code == 2 and "argument L must reference a file: L=@FILE" in err
+    code, _, err = run(capsys, "construct", "compose", f"F=@{cube_file}", "L=@/nonexistent/L")
+    assert code == 2 and "/nonexistent/L" in err
+
+
 def test_spectrum_csv_p2(cube_file, capsys):
     code, out, _ = run(capsys, "spectrum", cube_file)
     assert code == 0
@@ -317,6 +357,26 @@ def test_check_theorem_gold(capsys):
     code, out, _ = run(capsys, "check-theorem", "--paper-ref", "gold", "n=8", "r=2")
     assert code == 1
     assert "expected single plateau parameter" in json.loads(out)["reason"]
+
+
+def test_one_zero_column_transform_per_analysis(tmp_path, capsys, monkeypatch):
+    """The imbalance, ab-walsh and integrality share one zero column."""
+    calls = []
+
+    def spy(dist):
+        calls.append(dist.params)
+        return zero_column(dist)
+
+    monkeypatch.setattr(distribution, "zero_column", spy)
+    path = tmp_path / "x4.txt"
+    write_function_file(monomial(3, 4, 4), path)
+    code, _, _ = run(capsys, "analyze", "--all", str(path))
+    assert code == 0
+    assert calls == [DomainParams(3, 4, 4)]
+    calls.clear()
+    code, _, _ = run(capsys, "check-theorem", "--paper-ref", "gold", "n=6", "r=1")
+    assert code == 0
+    assert calls == [DomainParams(2, 6, 3)]
 
 
 def test_check_theorem_mm_tags(tmp_path, capsys):
@@ -409,6 +469,19 @@ def test_package_exports_resolve():
     assert len(set(plateau.__all__)) == len(plateau.__all__)
     missing = [name for name in plateau.__all__ if not hasattr(plateau, name)]
     assert missing == []
+
+
+def test_p2_fork_count_does_not_grow():
+    """The p = 2 / odd-p split lives in a few kernels; a new fork elsewhere
+    must replace an old one."""
+    src = Path(plateau.__file__).parent
+    forks = [
+        line
+        for path in sorted(src.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if re.search(r"p == 2|p != 2", line)
+    ]
+    assert len(forks) <= 28
 
 
 def test_test_extra_lists_test_dependencies():

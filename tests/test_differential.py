@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as o
 from plateau import differential
@@ -7,7 +11,6 @@ from plateau.constructions import monomial
 from plateau.cyclotomic import CycInt
 from plateau.differential import (
     _walsh_fourth_sum_all,
-    ddt_row,
     ddt_rows,
     diff_summary,
     fourth_moment,
@@ -22,8 +25,22 @@ def random_table(p, n, m, seed):
     return FuncTable(pr, rng.integers(pr.codomain_size, size=pr.domain_size))
 
 
+def p2_row(tbl, c):
+    """Row c of a p = 2 difference table, counted in int64 with numpy."""
+    xs = np.arange(tbl.params.domain_size, dtype=np.int64)
+    diffs = tbl.values[xs ^ c] ^ tbl.values
+    return np.bincount(diffs, minlength=tbl.params.codomain_size)
+
+
 def test_ddt_matches_oracle():
-    for tbl in (monomial(2, 4, 3), random_table(2, 5, 3, 31), random_table(3, 3, 2, 32)):
+    """(257, 1, 1) takes the per-digit subtraction on uint16 operands."""
+    tables = (
+        monomial(2, 4, 3),
+        random_table(2, 5, 3, 31),
+        random_table(3, 3, 2, 32),
+        random_table(257, 1, 1, 34),
+    )
+    for tbl in tables:
         pr = tbl.params
         want = o.ddt_table(pr.p, pr.n, pr.m, list(tbl))
         got = [(c, row.tolist()) for c, row in ddt_rows(tbl)]
@@ -32,39 +49,72 @@ def test_ddt_matches_oracle():
             assert row == want[c], c
 
 
+@st.composite
+def tables_and_chunks(draw):
+    """A random table with 4 <= p^n <= 125, and a chunk of 2 to p^n - 2
+    input differences that does not divide the p^n - 1 rows, so the rows
+    span several chunks and the last one is partial."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 6).filter(lambda k: 4 <= p**k <= 125))
+    m = draw(st.integers(1, 3))
+    pr = DomainParams(p, n, m)
+    rows = pr.domain_size - 1
+    chunk = draw(st.integers(2, rows - 1).filter(lambda k: rows % k))
+    vals = draw(
+        st.lists(
+            st.integers(0, pr.codomain_size - 1),
+            min_size=pr.domain_size,
+            max_size=pr.domain_size,
+        )
+    )
+    return FuncTable(pr, vals), chunk
+
+
+@settings(max_examples=30, deadline=None)
+@given(tables_and_chunks())
+def test_ddt_rows_across_chunks_match_oracle(case):
+    tbl, chunk = case
+    pr = tbl.params
+    want = o.ddt_table(pr.p, pr.n, pr.m, list(tbl))
+    scratch = chunk * max(pr.domain_size, pr.codomain_size)
+    with mock.patch.object(differential, "_SCRATCH", scratch):
+        rows = [(c, row.copy()) for c, row in ddt_rows(tbl)]
+    assert [c for c, _ in rows] == list(range(1, pr.domain_size))
+    for c, row in rows:
+        assert row.tolist() == want[c], c
+
+
 @pytest.mark.parametrize("p, n, m", [(3, 4, 2), (5, 3, 2), (7, 2, 2)])
 def test_odd_ddt_rows_across_chunks(monkeypatch, p, n, m):
-    """The broadcast digit shifts, with chunks of 2 input differences: p^n is
-    odd, so every table spans several chunks and the last one is partial."""
+    """Chunks of 7 input differences: 7 divides none of 80, 124 and 48, so
+    every table spans several chunks and the last one is partial."""
     tbl = random_table(p, n, m, 60 + p)
     want = o.ddt_table(p, n, m, list(tbl))
-    monkeypatch.setattr(differential, "_SCRATCH", 2 * p**n)
-    rows = [(c, row.copy()) for c, row in ddt_rows(tbl, include_zero=True)]
-    assert [c for c, _ in rows] == list(range(p**n))
+    monkeypatch.setattr(differential, "_SCRATCH", 7 * p**n)
+    rows = [(c, row.copy()) for c, row in ddt_rows(tbl)]
+    assert [c for c, _ in rows] == list(range(1, p**n))
     for c, row in rows:
         assert row.tolist() == want[c], c
 
 
 def test_p2_ddt_rows_across_chunks(monkeypatch):
-    """Chunks of 3 input differences over 32: the last chunk is partial with
-    or without the c = 0 row."""
+    """Chunks of 3 input differences over the 31 rows: the last is partial."""
     tbl = random_table(2, 5, 3, 61)
     want = o.ddt_table(2, 5, 3, list(tbl))
     monkeypatch.setattr(differential, "_SCRATCH", 3 * 2**5)
-    for include_zero in (True, False):
-        rows = [(c, row.copy()) for c, row in ddt_rows(tbl, include_zero=include_zero)]
-        assert [c for c, _ in rows] == list(range(0 if include_zero else 1, 32))
-        for c, row in rows:
-            assert row.tolist() == want[c], c
+    rows = [(c, row.copy()) for c, row in ddt_rows(tbl)]
+    assert [c for c, _ in rows] == list(range(1, 32))
+    for c, row in rows:
+        assert row.tolist() == want[c], c
 
 
 @pytest.mark.parametrize("p, n, m", [(2, 5, 16), (2, 5, 17), (2, 17, 2)])
 def test_p2_ddt_rows_at_dtype_edges(p, n, m):
     """Values past uint16 at m = 17 and indices past uint16 at n = 17 match
-    the unchunked int64 rows of ddt_row."""
+    rows counted in int64."""
     tbl = random_table(p, n, m, 62 + n + m)
     for c, row in ddt_rows(tbl):
-        assert np.array_equal(row, ddt_row(tbl, c)), c
+        assert np.array_equal(row, p2_row(tbl, c)), c
         if n == 17:
             break
 
@@ -76,19 +126,7 @@ def test_p2_ddt_rows_chunk_counts_the_wider_side(monkeypatch):
     monkeypatch.setattr(differential, "_SCRATCH", 1 << 10)
     for c, row in ddt_rows(tbl):
         assert row.base.size == 1 << 12, c
-        assert np.array_equal(row, ddt_row(tbl, c)), c
-
-
-def test_ddt_row_and_zero_row():
-    tbl = random_table(3, 2, 2, 33)
-    want = o.ddt_table(3, 2, 2, list(tbl))
-    for c in range(1, 9):
-        assert ddt_row(tbl, c).tolist() == want[c]
-    rows = list(ddt_rows(tbl, include_zero=True))
-    assert rows[0][0] == 0
-    assert rows[0][1].tolist() == want[0]
-    assert rows[0][1][0] == 9
-    assert [c for c, _ in rows] == list(range(9))
+        assert np.array_equal(row, p2_row(tbl, c)), c
 
 
 def test_cube_map_is_apn():

@@ -15,6 +15,7 @@ from plateau.distribution import (
 )
 from plateau.domain import DomainParams, FuncTable
 from plateau.report import Analysis
+from plateau.walsh import zero_column
 
 
 def random_table(p, n, m, seed):
@@ -35,19 +36,33 @@ def test_preimage_distribution_matches_counting():
     assert dist.sum_sq_sizes() == sum(c * c for c in counts)
 
 
-def test_shifted_counts_match_recount():
-    """The counts of F - beta, against a digitwise recount of the shifted table."""
-    for p, n, m, seed in ((2, 4, 3, 26), (3, 3, 2, 27), (5, 2, 2, 28)):
+def test_shifted_zero_col_matches_recount():
+    """W_{F - beta}(b, 0) from the phase rule, against the zero column of the
+    recounted table F - beta at every beta."""
+    for p, n, m, seed in ((2, 4, 3, 26), (3, 3, 2, 27), (5, 2, 2, 28), (7, 2, 1, 29)):
         tbl = random_table(p, n, m, seed)
         dist = preimage_distribution(tbl)
         pm = tbl.params.codomain_size
         for beta in range(pm):
-            shifted = [o.vsub(v, beta, p, m) for v in tbl]
-            want = o.preimage_counts(p, n, m, shifted)
-            assert dist.shifted_counts(beta).tolist() == want
+            shifted = FuncTable(tbl.params, [o.vsub(v, beta, p, m) for v in tbl])
+            want = zero_column(preimage_distribution(shifted))
+            assert dist.shifted_zero_col(beta).values() == want.values(), beta
         for beta in (-1, pm):
             with pytest.raises(ValueError):
-                dist.shifted_counts(beta)
+                dist.shifted_zero_col(beta)
+
+
+@pytest.mark.parametrize("p, n, m", [(2, 4, 3), (3, 3, 2)])
+def test_zero_col_is_transformed_once_and_read_only(p, n, m):
+    """The cached column is shared, so no accessor may write to it."""
+    dist = preimage_distribution(random_table(p, n, m, 25))
+    col = dist.zero_col
+    assert col is dist.zero_col
+    assert not col.data.flags.writeable
+    assert col.values() == zero_column(dist).values()
+    rational, ints = col.integers()
+    want = [w if p == 2 else w.as_integer() if w.is_rational() else 0 for w in col.values()]
+    assert ints.tolist() == want
 
 
 def test_cube_map_frozen_distribution():
@@ -57,7 +72,7 @@ def test_cube_map_frozen_distribution():
     assert dist.histogram == ((1, 1), (3, 5))
     assert dist.image_size == 6
     assert dist.count_of(0) == 1
-    n_f = imbalance(tbl, dist=dist)
+    n_f = imbalance(dist)
     assert n_f == 30
     assert imbalance_defect(dist, n_f) == (100, 6)
 
@@ -86,7 +101,7 @@ def test_cube_map_frozen_bounds():
 def test_cube_map_is_type_minus():
     tbl = monomial(2, 4, 3)
     dist = preimage_distribution(tbl)
-    ab = classify_almost_balanced(tbl, dist, imbalance(tbl, dist))
+    ab = classify_almost_balanced(tbl, dist, imbalance(dist))
     assert ab.kind == "type_minus"
     assert ab.witness == 0
     assert ab.witnesses_minus == (0,)
@@ -99,7 +114,7 @@ def test_gold_trace_is_type_plus_with_walsh_consequences():
     dist = preimage_distribution(tbl)
     assert dist.histogram == ((6, 7), (22, 1))
     assert dist.count_of(0) == 22
-    n_f = imbalance(tbl, dist=dist)
+    n_f = imbalance(dist)
     assert n_f == 224
     ab = classify_almost_balanced(tbl, dist=dist, n_f=n_f)
     assert ab.kind == "type_plus" and ab.witness == 0 and ab.surjective
@@ -119,7 +134,7 @@ def test_balanced_function_is_not_ab():
     pr = DomainParams(2, 3, 3)
     tbl = FuncTable(pr, list(range(8)))
     dist = preimage_distribution(tbl)
-    n_f = imbalance(tbl, dist=dist)
+    n_f = imbalance(dist)
     assert n_f == 0
     assert imbalance_defect(dist, n_f) == (0, 8)
     ab = classify_almost_balanced(tbl, dist=dist, n_f=n_f)
@@ -130,7 +145,7 @@ def test_constant_function_edge():
     pr = DomainParams(2, 3, 3)
     tbl = FuncTable(pr, [5] * 8)
     dist = preimage_distribution(tbl)
-    n_f = imbalance(tbl, dist=dist)
+    n_f = imbalance(dist)
     assert n_f == 64 - 8
     # a single image value gives a zero radicand, hence no AB structure
     assert imbalance_defect(dist, n_f) == (0, 1)
@@ -144,14 +159,14 @@ def test_imbalance_agrees_with_oracle_both_routes():
     for p, n, m, seed in ((2, 5, 3, 22), (2, 6, 6, 23), (3, 3, 2, 24), (5, 2, 2, 25)):
         tbl = random_table(p, n, m, seed)
         want = o.imbalance(p, n, m, list(tbl))
-        assert imbalance(tbl, preimage_distribution(tbl)) == want
+        assert imbalance(preimage_distribution(tbl)) == want
 
 
 def test_imbalance_rejects_wide_codomain():
     pr = DomainParams(2, 1, 3)
     tbl = FuncTable(pr, [0, 7])
     with pytest.raises(ValueError):
-        imbalance(tbl, preimage_distribution(tbl))
+        imbalance(preimage_distribution(tbl))
 
 
 def test_bounds_contain_all_sizes_randomized():
@@ -160,7 +175,7 @@ def test_bounds_contain_all_sizes_randomized():
         p, n, m = [(2, 5, 2), (2, 4, 4), (3, 3, 2), (3, 2, 2)][seed % 4]
         tbl = random_table(p, n, m, 100 + seed)
         dist = preimage_distribution(tbl)
-        n_f = imbalance(tbl, dist=dist)
+        n_f = imbalance(dist)
         aware, free = preimage_bounds(dist, n_f)
         for size, _ in dist.histogram:
             assert aware.contains(size), (seed, size)
@@ -176,7 +191,7 @@ def test_surjectivity_certificate_fires_on_balanced():
     pr = DomainParams(2, 4, 2)
     tbl = FuncTable(pr, [x % 4 for x in range(16)])
     dist = preimage_distribution(tbl)
-    cert = surjectivity_certificate(dist, imbalance(tbl, dist=dist))
+    cert = surjectivity_certificate(dist, imbalance(dist))
     assert cert.guaranteed and cert.actual
 
 

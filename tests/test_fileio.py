@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plateau.domain import DomainParams, FuncTable
 from plateau.errors import FileFormatError
@@ -118,3 +120,33 @@ def test_magic_decides_the_format():
 def test_parse_missing_file():
     with pytest.raises(FileFormatError, match="no-such-file"):
         parse_function_file("/tmp/plateau-no-such-file.txt")
+
+
+@st.composite
+def mutated_tables(draw):
+    """The text or binary form of a small valid table, with up to eight
+    bytes replaced, inserted or deleted."""
+    p, n, m = draw(st.sampled_from([(2, 3, 2), (3, 2, 2), (5, 1, 3), (2, 2, 9)]))
+    tbl = random_table(p, n, m, draw(st.integers(0, 99)))
+    data = bytearray(format_binary(tbl) if draw(st.booleans()) else format_text(tbl).encode())
+    edits = st.tuples(st.sampled_from("rid"), st.integers(0, 1 << 16), st.integers(0, 255))
+    for op, pos, byte in draw(st.lists(edits, max_size=8)):
+        pos %= len(data) + 1
+        if op == "i":
+            data.insert(pos, byte)
+        elif pos < len(data):
+            if op == "r":
+                data[pos] = byte
+            else:
+                del data[pos]
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_tables())
+def test_mutated_input_parses_or_raises_file_format_error(data):
+    try:
+        tbl = parse_function_bytes(data, "f")
+    except FileFormatError:
+        return
+    assert isinstance(tbl, FuncTable)

@@ -211,7 +211,7 @@ def test_analysis_withholds_over_budget_artifacts():
     an = Analysis(tbl, AnalysisOptions(zero_column_only=True))
     with pytest.raises(Withheld, match="difference table over budget"):
         an.diff()
-    assert an.n_f == imbalance(tbl, preimage_distribution(tbl))
+    assert an.n_f == imbalance(preimage_distribution(tbl))
     assert Analysis(random_table(2, 2, 5, 107)).n_f is None
 
 

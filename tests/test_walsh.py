@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import oracles as o
 from plateau import walsh
 from plateau.cyclotomic import CycInt
+from plateau.distribution import preimage_distribution
 from plateau.domain import DomainParams, FuncTable
 from plateau.errors import BudgetError
 from plateau.walsh import (
@@ -188,7 +189,7 @@ def test_identity_table_reaches_the_bound(n):
     batch = walsh_rows_signs_p2(tbl, np.array([1], dtype=np.int64))
     assert batch.dtype == _p2_dtype(n)
     assert np.array_equal(batch[0], want)
-    zc = zero_column(tbl)
+    zc = zero_column(preimage_distribution(tbl))
     assert zc.data.dtype == _p2_dtype(n)
     assert zc.value(0) == 1 << n
     assert not np.any(zc.data[1:])
@@ -215,7 +216,7 @@ def test_zero_column_matches_points():
     for p, n, m, seed in ((2, 6, 4, 13), (3, 3, 2, 14)):
         tbl = random_table(p, n, m, seed)
         vals = list(tbl)
-        zc = zero_column(tbl)
+        zc = zero_column(preimage_distribution(tbl))
         assert len(zc) == p**m
         for b in range(p**m):
             if p == 2:
@@ -225,27 +226,11 @@ def test_zero_column_matches_points():
             assert zc.value(b) == want, b
 
 
-def test_zero_column_from_shared_counts():
-    for p, n, m, seed in ((2, 6, 4, 19), (3, 3, 2, 20)):
-        tbl = random_table(p, n, m, seed)
-        counts = np.bincount(tbl.values, minlength=p**m)
-        assert np.array_equal(zero_column(tbl, counts).data, zero_column(tbl).data)
-        with pytest.raises(ValueError):
-            zero_column(tbl, counts[1:])
-        counts[0] += 1
-        with pytest.raises(ValueError):
-            zero_column(tbl, counts)
-        counts[0] -= 1
-        counts[:2] += [-counts[0] - 1, counts[0] + 1]
-        with pytest.raises(ValueError):
-            zero_column(tbl, counts)
-
-
 def test_zero_column_sums():
     for p, n, m, seed in ((2, 5, 3, 15), (3, 3, 2, 16), (5, 2, 2, 17)):
         tbl = random_table(p, n, m, seed)
         vals = list(tbl)
-        zc = zero_column(tbl)
+        zc = zero_column(preimage_distribution(tbl))
         fiber0 = o.preimage_counts(p, n, m, vals)[0]
         assert zc.total() == p**m * fiber0
         total = [0] * p
@@ -289,7 +274,10 @@ def test_walsh_vector_matches_walsh_point(case):
     p = pr.p
     vectors = (
         (walsh_row(tbl, b), [walsh_point(tbl, b, a) for a in range(pr.domain_size)]),
-        (zero_column(tbl), [walsh_point(tbl, c, 0) for c in range(pr.codomain_size)]),
+        (
+            zero_column(preimage_distribution(tbl)),
+            [walsh_point(tbl, c, 0) for c in range(pr.codomain_size)],
+        ),
     )
     for vec, want in vectors:
         assert vec.values() == want
@@ -352,7 +340,7 @@ def test_odd_rows_and_zero_column_match_walsh_counts(case):
     row = walsh_row(tbl, b).basis_coords().tolist()
     for a in range(pr.domain_size):
         assert tuple(row[a]) == o.counts_canonical(o.walsh_counts(p, n, m, vals, b, a), p)
-    col = zero_column(tbl).basis_coords().tolist()
+    col = zero_column(preimage_distribution(tbl)).basis_coords().tolist()
     for c in range(pr.codomain_size):
         assert tuple(col[c]) == o.counts_canonical(o.walsh_counts(p, n, m, vals, c, 0), p)
 

@@ -15,7 +15,6 @@ from .constructions import (
     mm_pair,
     mm_pi_phi,
     monomial,
-    monomial_fiber,
 )
 from .cyclotomic import CycInt
 from .differential import (
@@ -116,7 +115,6 @@ __all__ = [
     "mm_pair",
     "mm_pi_phi",
     "monomial",
-    "monomial_fiber",
     "parse_function_bytes",
     "parse_function_file",
     "preimage_bounds",

@@ -38,11 +38,6 @@ def monomial(
     return FuncTable(DomainParams(p, n, n), vals)
 
 
-def monomial_fiber(p: int, n: int, d: int) -> int:
-    """Common fiber size of x^d over nonzero values."""
-    return gcd(d, p ** n - 1)
-
-
 def gold_trace(
     n: int,
     r: int,

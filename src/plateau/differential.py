@@ -77,9 +77,10 @@ def diff_summary(table: FuncTable) -> DiffSummary:
     pr = table.params
     pn = pr.domain_size
     delta = 0
-    # the least nonzero entry so far; the nonzero entries all equal delta
-    # exactly when it does, and once it falls below delta it stays below
-    least = pn
+    # the table is two-valued exactly when every row's nonzero entries equal
+    # its maximum (the row is uniform) and every row maximum equals delta
+    lowest = pn
+    uniform = True
     for c, row in ddt_rows(table):
         # nonnegative entries totalling p^n < 2^62, so int64 cannot overflow
         total = int(row.sum(dtype=np.int64))
@@ -88,15 +89,14 @@ def diff_summary(table: FuncTable) -> DiffSummary:
         if pr.p == 2 and bool(np.any(row & 1)):
             raise InternalCheckError(f"DDT row {c} has an odd entry at p = 2")
         m = int(row.max())
-        if m > delta:
-            delta = m
-        if least >= delta:
+        delta = max(delta, m)
+        lowest = min(lowest, m)
+        if uniform and lowest == delta:
             # the entries are nonnegative and total pn, so the nonzero ones
-            # all equal m exactly when there are pn / m of them; a row where
-            # they do not drops least below delta for good
-            single = int(np.count_nonzero(row)) * m == pn
-            least = min(least, m if single else int(row[row > 0].min()))
-    two_valued = delta if least == delta else None
+            # all equal m exactly when there are pn / m of them; once the row
+            # maxima differ the answer is None and no row needs counting
+            uniform = int(np.count_nonzero(row)) * m == pn
+    two_valued = delta if uniform and lowest == delta else None
     apn = (delta <= 2) if (pr.p == 2 and pr.n == pr.m) else None
     return DiffSummary(delta, two_valued, apn)
 

@@ -2,11 +2,14 @@
 
 Every comparison against a bound of the form (A +- sqrt(R))/D is decided on
 squared cross-multiplied integers — (D*x - A)^2 vs R — so equality of a fiber
-size with a bound is exact, never rounded.  The imbalance is always computed
-twice (zero-column transform vs. sum of squared fiber sizes) and the two
-routes must agree to the bit; a mismatch raises InternalCheckError because it
-can only mean an arithmetic bug.  The imbalance and the checks that need the
-zero column of F - beta share one transform, PreimageDist.zero_col.
+size with a bound is exact, never rounded.  The integer ends of such an
+interval are ceil((A - isqrt(R))/D) and floor((A + isqrt(R))/D), since an
+integer D*x - A lies within sqrt(R) of 0 exactly when it lies within
+isqrt(R).  The imbalance is always computed twice (zero-column transform vs.
+sum of squared fiber sizes) and the two routes must agree to the bit; a
+mismatch raises InternalCheckError because it can only mean an arithmetic
+bug.  The imbalance and the checks that need the zero column of F - beta
+share one transform, PreimageDist.zero_col.
 """
 
 from __future__ import annotations
@@ -41,12 +44,6 @@ class PreimageDist:
     counts: np.ndarray
     image_size: int
     histogram: tuple[tuple[int, int], ...]
-
-    def sorted_sizes(self) -> list[int]:
-        out: list[int] = []
-        for size, mult in self.histogram:
-            out.extend([size] * mult)
-        return out
 
     def count_of(self, beta: int) -> int:
         return int(self.counts[beta])
@@ -124,14 +121,6 @@ class BoundPair:
     def contains(self, x: int) -> bool:
         return (self.denominator * x - self.numerator) ** 2 <= self.radicand
 
-    def attains_lower(self, x: int) -> bool:
-        t = self.denominator * x - self.numerator
-        return t <= 0 and t * t == self.radicand
-
-    def attains_upper(self, x: int) -> bool:
-        t = self.denominator * x - self.numerator
-        return t >= 0 and t * t == self.radicand
-
     def as_dict(self) -> dict:
         return {
             "numerator": self.numerator,
@@ -143,27 +132,10 @@ class BoundPair:
 
 
 def _make_bound_pair(num: int, rad: int, den: int) -> BoundPair:
+    # for an integer k, |den*k - num| <= sqrt(rad) exactly when
+    # |den*k - num| <= isqrt(rad), so each end is one integer division
     s = isqrt(rad)
-
-    def lo_ok(k: int) -> bool:
-        t = num - den * k
-        return t <= 0 or t * t <= rad
-
-    def hi_ok(k: int) -> bool:
-        t = den * k - num
-        return t <= 0 or t * t <= rad
-
-    lo = (num - s) // den - 1
-    while not lo_ok(lo):
-        lo += 1
-    while lo_ok(lo - 1):
-        lo -= 1
-    hi = (num + s) // den + 1
-    while not hi_ok(hi):
-        hi -= 1
-    while hi_ok(hi + 1):
-        hi += 1
-    return BoundPair(num, den, rad, lo, hi)
+    return BoundPair(num, den, rad, ceil_div(num - s, den), (num + s) // den)
 
 
 def preimage_bounds(dist: PreimageDist, n_f: int) -> tuple[BoundPair, BoundPair]:
@@ -222,9 +194,9 @@ def _verify_rider(dist: PreimageDist, witness_size: int) -> None:
             )
 
 
-def classify_almost_balanced(table: FuncTable, dist: PreimageDist, n_f: int) -> ABClass:
+def classify_almost_balanced(dist: PreimageDist, n_f: int) -> ABClass:
     """AB classification per the image-aware bounds, exact equality tests only."""
-    pr = table.params
+    pr = dist.params
     surjective = dist.image_size == pr.codomain_size
     rad, image = imbalance_defect(dist, n_f)
     if rad == 0:

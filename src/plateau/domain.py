@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,22 +74,6 @@ def vec_add(i: int, j: int, p: int, length: int) -> int:
         j //= p
         pk *= p
     return out
-
-
-def vec_neg(i: int, p: int, length: int) -> int:
-    if p == 2:
-        return i
-    out = 0
-    pk = 1
-    for _ in range(length):
-        out += ((p - i) % p) * pk
-        i //= p
-        pk *= p
-    return out
-
-
-def vec_sub(i: int, j: int, p: int, length: int) -> int:
-    return vec_add(i, vec_neg(j, p, length), p, length)
 
 
 def dot(i: int, j: int, p: int, length: int) -> int:
@@ -284,10 +268,6 @@ class FuncTable:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("FuncTable is immutable")
-
-    @classmethod
-    def from_callable(cls, params: DomainParams, fn: Callable[[int], int]) -> "FuncTable":
-        return cls(params, [fn(x) for x in range(params.domain_size)])
 
     def value(self, x: int) -> int:
         return int(self.values[x])

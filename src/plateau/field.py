@@ -17,7 +17,9 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .domain import digits, dot, from_digits, is_prime, vec_add, vec_sub
+import numpy as np
+
+from .domain import digits, from_digits, is_prime, matrix_apply, vec_add
 from .errors import InternalCheckError
 
 
@@ -115,9 +117,6 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         return vec_add(a, b, self.p, self.deg)
 
-    def sub(self, a: int, b: int) -> int:
-        return vec_sub(a, b, self.p, self.deg)
-
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
@@ -175,9 +174,10 @@ class FieldCtx:
         """Tr from F_{p^deg} onto F_{p^m}, re-encoded as an m-digit index.
 
         The subfield copy of F_{p^m} inside this context is matched to the
-        standalone default degree-m field through the smallest-index root of
-        the default degree-m modulus, so outputs compose consistently with a
-        FieldCtx(p, m) built separately.
+        standalone default degree-m field through the smallest-index root
+        theta of the default degree-m modulus: the trace sum_j c_j theta^j is
+        encoded as the index of (c_0, ..., c_(m-1)), so outputs compose
+        consistently with a FieldCtx(p, m) built separately.
         """
         self._check(a)
         if m < 1 or self.deg % m != 0:
@@ -190,7 +190,9 @@ class FieldCtx:
             acc = self.add(acc, term)
         return self._subfield_encode(acc, m)
 
-    def _subfield_map(self, m: int):
+    def _subfield_map(self, m: int) -> dict[int, int]:
+        """The index of sum_j c_j theta^j mapped to the index of c, for each of
+        the p^m coordinate vectors c; theta as in rel_trace."""
         cached = self._sub_maps.get(m)
         if cached is not None:
             return cached
@@ -213,45 +215,22 @@ class FieldCtx:
         for _ in range(m):
             cols.append(digits(power, p, deg))
             power = self.mul(power, theta)
-        left_inv = _left_inverse(cols, p, deg)
-        entry = (theta, left_inv, cols)
-        self._sub_maps[m] = entry
-        return entry
+        # row t of the basis matrix holds digit t of theta^0, ..., theta^(m-1)
+        images = matrix_apply(list(zip(*cols)), np.arange(p**m, dtype=np.int64), p, m)
+        table = dict(zip(images.tolist(), range(p**m)))
+        if len(table) < p**m:
+            raise InternalCheckError("subfield basis is rank-deficient")
+        self._sub_maps[m] = table
+        return table
 
     def _subfield_encode(self, s: int, m: int) -> int:
         if m == self.deg and self.modulus == default_modulus(self.p, m):
             return s
-        p, deg = self.p, self.deg
-        _, left_inv, cols = self._subfield_map(m)
-        y = digits(s, p, deg)
-        coords = [sum(row[t] * y[t] for t in range(deg)) % p for row in left_inv]
-        for t in range(deg):
-            if sum(cols[j][t] * coords[j] for j in range(m)) % p != y[t]:
-                raise InternalCheckError("relative trace landed outside the subfield")
-        return from_digits(coords, p)
+        coords = self._subfield_map(m).get(s)
+        if coords is None:
+            raise InternalCheckError("relative trace landed outside the subfield")
+        return coords
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, deg={self.deg}, modulus={list(self.modulus)})"
 
-
-def _left_inverse(cols: list[tuple[int, ...]], p: int, deg: int) -> list[tuple[int, ...]]:
-    """Rows A with A @ M = I, M the deg x m matrix whose columns are cols."""
-    m = len(cols)
-    aug = [
-        [cols[j][i] for j in range(m)] + [1 if t == i else 0 for t in range(deg)]
-        for i in range(deg)
-    ]
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, deg) if aug[i][c] % p), None)
-        if pivot is None:
-            raise InternalCheckError("subfield basis is rank-deficient")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [(v * inv) % p for v in aug[r]]
-        for i in range(deg):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(aug[i][t] - f * aug[r][t]) % p for t in range(m + deg)]
-        r += 1
-    return [tuple(aug[j][m:]) for j in range(m)]

@@ -118,7 +118,7 @@ class Analysis:
     @cached_property
     def ab(self) -> ABClass:
         """The almost-balanced class; needs n_f."""
-        return classify_almost_balanced(self.table, dist=self.dist, n_f=self.n_f)
+        return classify_almost_balanced(self.dist, self.n_f)
 
     def profile(self) -> AmplitudeProfile:
         if self._profile is None:

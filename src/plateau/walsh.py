@@ -53,12 +53,6 @@ if TYPE_CHECKING:
     from .distribution import PreimageDist
 
 
-def component_values(table: FuncTable, b: int) -> np.ndarray:
-    """<b, F(x)> for every x, values in [0, p)."""
-    pr = table.params
-    return dot_array(b, table.values, pr.p, pr.m)
-
-
 def walsh_point(table: FuncTable, b: int, a: int) -> "int | CycInt":
     """Direct-summation W_F(b, a); the reference oracle, O(p^n) per call."""
     pr = table.params
@@ -361,10 +355,10 @@ def walsh_row(table: FuncTable, b: int) -> WalshVector:
     """Full spectrum row for output mask b via fast butterflies."""
     pr = table.params
     p, n = pr.p, pr.n
+    evec = dot_array(b, table.values, p, pr.m)
     if p == 2:
-        return WalshVector(2, n, _sign_transform(component_values(table, b), n))
+        return WalshVector(2, n, _sign_transform(evec, n))
     _guard_int64(p, n)
-    evec = component_values(table, b)
     mat = _exponent_one_hot(evec, p)
     return WalshVector(p, n, dft_p_axes(mat, p, n, sign=-1))
 

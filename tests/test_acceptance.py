@@ -75,7 +75,7 @@ def test_acceptance_1_cube_map_f16():
         root * root == rad and Fraction(root, den) == Fraction(5, 3),
         f"defect sqrt({rad})/{den} != 5/3",
     )
-    ab = classify_almost_balanced(table, dist=dist, n_f=n_f)
+    ab = classify_almost_balanced(dist, n_f)
     _check(problems, ab.kind == "type_minus", f"ab kind {ab.kind} != type_minus")
     _check(problems, dist.image_size == 6, f"image size {dist.image_size} != 6")
     lower = image_lower_bound(table.params, n_f)
@@ -181,7 +181,7 @@ def _gold_half(problems, n, r):
         dist.histogram == expected,
         f"n={n} r={r}: distribution {dist.histogram} != {expected}",
     )
-    ab = classify_almost_balanced(table, dist=dist, n_f=n_f)
+    ab = classify_almost_balanced(dist, n_f)
     _check(problems, ab.kind == "type_plus", f"n={n} r={r}: ab kind {ab.kind} != type_plus")
     rider = ab_walsh_consequences(Analysis(table))
     _check(
@@ -437,7 +437,7 @@ def test_acceptance_9_performance():
         dist = preimage_distribution(table)
         n_f = imbalance(dist)
         aware, free = preimage_bounds(dist, n_f)
-        ab = classify_almost_balanced(table, dist=dist, n_f=n_f)
+        ab = classify_almost_balanced(dist, n_f)
         return (n_f, dist.histogram, aware, free, ab)
 
     t0 = time.perf_counter()

@@ -481,7 +481,7 @@ def test_p2_fork_count_does_not_grow():
         for line in path.read_text().splitlines()
         if re.search(r"p == 2|p != 2", line)
     ]
-    assert len(forks) <= 28
+    assert len(forks) <= 27
 
 
 def test_test_extra_lists_test_dependencies():

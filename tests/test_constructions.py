@@ -1,3 +1,5 @@
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from plateau.constructions import (
     mm_pair,
     mm_pi_phi,
     monomial,
-    monomial_fiber,
 )
 from plateau.distribution import imbalance, preimage_distribution
 from plateau.domain import DomainParams, FuncTable
@@ -33,7 +34,7 @@ def test_monomial_values_match_field_power():
 
 def test_monomial_fiber_sizes():
     for p, n, d in ((2, 4, 3), (2, 6, 3), (3, 4, 4), (2, 8, 5)):
-        g = monomial_fiber(p, n, d)
+        g = gcd(d, p**n - 1)
         dist = preimage_distribution(monomial(p, n, d))
         if g == 1:
             assert dist.histogram == ((1, p**n),)

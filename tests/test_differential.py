@@ -161,10 +161,27 @@ def test_linear_map_summary():
     assert s.apn is False
 
 
+def x0_times_x1(p, n):
+    """x0 * x1 into F_p: every derivative is affine, so every DDT row is
+    uniform, but the rows with c0 = c1 = 0 peak at p^n and the others at
+    p^(n-1)."""
+    xs = np.arange(p**n)
+    return FuncTable(DomainParams(p, n, 1), (xs % p) * (xs // p % p) % p)
+
+
 def test_diff_summary_matches_oracle_randomized():
-    for seed in range(12):
-        p, n, m = [(2, 4, 3), (2, 4, 4), (3, 3, 2), (5, 2, 2)][seed % 4]
-        tbl = random_table(p, n, m, 200 + seed)
+    tables = [
+        random_table(*[(2, 4, 3), (2, 4, 4), (3, 3, 2), (5, 2, 2)][seed % 4], 200 + seed)
+        for seed in range(12)
+    ]
+    tables += [
+        monomial(p, n, d)
+        for p, n, d in ((2, 4, 7), (2, 5, 3), (2, 5, 5), (2, 5, 7), (2, 6, 5),
+                        (3, 3, 2), (3, 3, 4), (3, 3, 5), (5, 2, 3), (7, 2, 2))
+    ]
+    partially_bent = [x0_times_x1(2, 3), x0_times_x1(2, 4), x0_times_x1(3, 3)]
+    for tbl in tables + partially_bent:
+        p, n, m = tbl.params.p, tbl.params.n, tbl.params.m
         want_rows = o.ddt_table(p, n, m, list(tbl))[1:]
         delta = max(max(r) for r in want_rows)
         nonzero = {v for r in want_rows for v in r if v}
@@ -175,6 +192,11 @@ def test_diff_summary_matches_oracle_randomized():
             assert s.apn == (delta <= 2)
         else:
             assert s.apn is None
+    for tbl in partially_bent:
+        rows = o.ddt_table(tbl.params.p, tbl.params.n, 1, list(tbl))[1:]
+        assert all(len({v for v in r if v}) == 1 for r in rows)
+        assert min(max(r) for r in rows) < max(max(r) for r in rows)
+        assert diff_summary(tbl).two_valued_at is None
 
 
 def test_fourth_moment_frozen_cube_map():

@@ -1,9 +1,14 @@
+from math import isqrt
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as o
 from plateau.constructions import gold_trace, monomial
 from plateau.distribution import (
+    _make_bound_pair,
     ab_walsh_consequences,
     classify_almost_balanced,
     image_lower_bound,
@@ -31,8 +36,9 @@ def test_preimage_distribution_matches_counting():
     counts = o.preimage_counts(3, 3, 2, vals)
     assert dist.counts.tolist() == counts
     assert dist.image_size == sum(1 for c in counts if c)
-    assert sum(dist.sorted_sizes()) == 27
-    assert dist.sorted_sizes() == sorted(c for c in counts if c)
+    sizes = [size for size, mult in dist.histogram for _ in range(mult)]
+    assert sum(sizes) == 27
+    assert sizes == sorted(c for c in counts if c)
     assert dist.sum_sq_sizes() == sum(c * c for c in counts)
 
 
@@ -93,15 +99,56 @@ def test_cube_map_frozen_bounds():
     for size, _ in dist.histogram:
         assert aware.contains(size)
         assert free.contains(size)
-    # the singleton fiber sits exactly on the image-aware lower edge
-    assert aware.attains_lower(1)
-    assert not aware.attains_upper(4)
+    # the singleton fiber sits exactly on the image-aware lower edge; the
+    # upper end is strictly inside
+    assert aware.lo_ceil == 1 and (6 * 1 - 16) ** 2 == aware.radicand
+    assert (6 * 4 - 16) ** 2 < aware.radicand
+
+
+def _scan_bounds(num, rad, den):
+    """Least and greatest integer k with (den*k - num)^2 <= rad, scanning a
+    window around num / den that holds every such k; None when none does."""
+    centre, width = num // den, isqrt(rad) + 2
+    inside = [
+        k for k in range(centre - width, centre + width + 1) if (den * k - num) ** 2 <= rad
+    ]
+    return (inside[0], inside[-1]) if inside else None
+
+
+@st.composite
+def bound_triples(draw):
+    """(num, rad, den) with rad = 0, a perfect square or arbitrary, and num
+    sometimes below isqrt(rad) so the lower end is negative."""
+    den = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["zero", "square", "any"]))
+    if kind == "zero":
+        rad = 0
+    elif kind == "square":
+        rad = draw(st.integers(0, 300)) ** 2
+    else:
+        rad = draw(st.integers(0, 90_000))
+    num = draw(st.integers(0, isqrt(rad) + 200))
+    return num, rad, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_triples())
+def test_make_bound_pair_matches_scan(triple):
+    num, rad, den = triple
+    pair = _make_bound_pair(num, rad, den)
+    scanned = _scan_bounds(num, rad, den)
+    if scanned is None:
+        # no integer inside: the ends cross
+        assert pair.lo_ceil == pair.hi_floor + 1
+    else:
+        assert (pair.lo_ceil, pair.hi_floor) == scanned
+    assert (pair.numerator, pair.radicand, pair.denominator) == (num, rad, den)
 
 
 def test_cube_map_is_type_minus():
     tbl = monomial(2, 4, 3)
     dist = preimage_distribution(tbl)
-    ab = classify_almost_balanced(tbl, dist, imbalance(dist))
+    ab = classify_almost_balanced(dist, imbalance(dist))
     assert ab.kind == "type_minus"
     assert ab.witness == 0
     assert ab.witnesses_minus == (0,)
@@ -116,7 +163,7 @@ def test_gold_trace_is_type_plus_with_walsh_consequences():
     assert dist.count_of(0) == 22
     n_f = imbalance(dist)
     assert n_f == 224
-    ab = classify_almost_balanced(tbl, dist=dist, n_f=n_f)
+    ab = classify_almost_balanced(dist, n_f)
     assert ab.kind == "type_plus" and ab.witness == 0 and ab.surjective
     res = ab_walsh_consequences(Analysis(tbl))
     assert res.status == "pass"
@@ -137,7 +184,7 @@ def test_balanced_function_is_not_ab():
     n_f = imbalance(dist)
     assert n_f == 0
     assert imbalance_defect(dist, n_f) == (0, 8)
-    ab = classify_almost_balanced(tbl, dist=dist, n_f=n_f)
+    ab = classify_almost_balanced(dist, n_f)
     assert ab.kind == "not_ab" and ab.witness is None and ab.surjective
 
 
@@ -149,7 +196,7 @@ def test_constant_function_edge():
     assert n_f == 64 - 8
     # a single image value gives a zero radicand, hence no AB structure
     assert imbalance_defect(dist, n_f) == (0, 1)
-    ab = classify_almost_balanced(tbl, dist=dist, n_f=n_f)
+    ab = classify_almost_balanced(dist, n_f)
     assert ab.kind == "not_ab"
     aware, free = preimage_bounds(dist, n_f)
     assert aware.lo_ceil == aware.hi_floor == 8

@@ -1,5 +1,7 @@
 import pytest
 
+import oracles as o
+from plateau.errors import InternalCheckError
 from plateau.field import FieldCtx, default_modulus, is_irreducible
 
 
@@ -30,7 +32,7 @@ def test_field_axioms_exhaustive_small():
             assert ctx.add(a, 0) == a
             for b in range(q):
                 assert ctx.mul(a, b) == ctx.mul(b, a)
-                assert ctx.add(ctx.sub(a, b), b) == a
+                assert ctx.add(o.vsub(a, b, p, deg), b) == a
                 for c in range(q):
                     assert ctx.mul(a, ctx.add(b, c)) == ctx.add(
                         ctx.mul(a, b), ctx.mul(a, c)
@@ -112,6 +114,20 @@ def test_relative_trace_is_onto_subfield():
         t = big.rel_trace(a, 3)
         counts[t] = counts.get(t, 0) + 1
     assert set(counts.values()) == {8}
+
+
+@pytest.mark.parametrize("p, deg, m", [(2, 6, 3), (3, 4, 2)])
+def test_subfield_encode_rejects_elements_outside_the_subfield(p, deg, m):
+    """The copy of F_{p^m} is the set fixed by a -> a^(p^m); its elements get
+    every m-digit index once, and any other element is an internal error."""
+    ctx = FieldCtx(p, deg)
+    q = p**m
+    inside = [a for a in range(p**deg) if ctx.pow(a, q) == a]
+    assert sorted(ctx._subfield_encode(a, m) for a in inside) == list(range(q))
+    outside = [a for a in range(p**deg) if ctx.pow(a, q) != a]
+    for a in outside[:5]:
+        with pytest.raises(InternalCheckError, match="outside the subfield"):
+            ctx._subfield_encode(a, m)
 
 
 def test_rel_trace_validates_divisor():

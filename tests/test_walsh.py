@@ -7,12 +7,11 @@ import oracles as o
 from plateau import walsh
 from plateau.cyclotomic import CycInt
 from plateau.distribution import preimage_distribution
-from plateau.domain import DomainParams, FuncTable
+from plateau.domain import DomainParams, FuncTable, dot_array
 from plateau.errors import BudgetError
 from plateau.walsh import (
     WalshVector,
     _p2_dtype,
-    component_values,
     dft_p_axes,
     fwht_last_axis,
     spectrum_rows,
@@ -33,7 +32,7 @@ def test_component_values_match_dot():
     tbl = random_table(3, 3, 2, 1)
     vals = list(tbl)
     for b in range(9):
-        got = component_values(tbl, b)
+        got = dot_array(b, tbl.values, 3, 2)
         assert got.tolist() == [o.dot(b, v, 3, 2) for v in vals]
 
 
@@ -385,7 +384,7 @@ def test_blocked_dft_p_axes_matches_walsh_counts(monkeypatch, p, n, m):
     vals = list(tbl)
     b = p + 1
     mat = np.zeros((p**n, p), dtype=np.int64)
-    mat[np.arange(p**n), component_values(tbl, b)] = 1
+    mat[np.arange(p**n), dot_array(b, tbl.values, p, m)] = 1
     for sign in (-1, 1):
         got = dft_p_axes(mat, p, n, sign).tolist()
         for a in range(p**n):

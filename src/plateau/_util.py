@@ -1,4 +1,10 @@
-"""Shared helpers: exact integer reductions over numpy arrays, worker pools."""
+"""Shared helpers: the resource rules of every exact kernel, exact integer
+reductions over numpy arrays, worker pools.
+
+A kernel touches SCRATCH entries at once (ROWS_SCRATCH for a batch of
+spectrum rows), read as a module attribute at call time, and keeps a value in
+int64 only while fits_int64 holds for its bound; past it the kernel refuses
+(BudgetError) or switches to Python ints."""
 
 from __future__ import annotations
 
@@ -8,8 +14,33 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
+from .errors import BudgetError
+
 T = TypeVar("T")
 R = TypeVar("R")
+
+# entries one kernel step holds at once: a block of difference rows, one DFT
+# gather and its index, one slice of squared moduli, one digit-group table;
+# 2^16 keeps a step's temporaries inside a core's L2 cache
+SCRATCH = 1 << 16
+
+# entries of one batch of spectrum rows (profile, fourth moment): at most
+# max(1, ROWS_SCRATCH // p^n) rows.  Larger than SCRATCH for fixed per-batch
+# costs: 2^16-entry batches took the p = 2 profile of x^3/F_2^12 from 137 to 230 ms
+ROWS_SCRATCH = 1 << 22
+
+
+def fits_int64(bound: int) -> bool:
+    """The one int64 rule: a value bounded in magnitude by `bound` is kept in
+    int64 only while bound < 2^62."""
+    return bound < 1 << 62
+
+
+def require_counts(codomain_size: int, domain_size: int) -> None:
+    """Refuse a count array indexed by the codomain (the preimage counts) past
+    max(p^n, 2^28) entries, before anything is allocated."""
+    if codomain_size > max(domain_size, 1 << 28):
+        raise BudgetError(f"a count array of p^m = {codomain_size} entries exceeds max(p^n, 2^28)")
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -21,42 +52,22 @@ def exact_sum(arr: np.ndarray, bound_bits: int) -> int:
     """Sum an integer array exactly, returning a Python int.
 
     ``bound_bits`` bounds the bit length of any entry's magnitude.  Chunks are
-    sized so each numpy partial sum provably fits in int64; partial sums are
-    combined through arbitrary-precision Python ints.
+    sized so each numpy partial sum provably fits in int64, after entries of
+    more than 50 bits are split as hi * 2^31 + lo, 0 <= lo < 2^31, so that no
+    chunk has fewer than 2^12 entries; partial sums are combined through
+    arbitrary-precision Python ints.
     """
     flat = np.ascontiguousarray(arr).reshape(-1)
-    if flat.size == 0:
-        return 0
     room = 62 - bound_bits
     if room <= 0:
         return sum(int(v) for v in flat.tolist())
+    if room < 12:
+        wide = flat.astype(np.int64, copy=False)
+        return (exact_sum(wide >> 31, bound_bits - 30) << 31) + exact_sum(wide & 0x7FFFFFFF, 31)
     chunk = 1 << min(room, 40)
-    if flat.size <= chunk:
-        return int(flat.sum(dtype=np.int64))
     total = 0
     for lo in range(0, flat.size, chunk):
         total += int(flat[lo : lo + chunk].sum(dtype=np.int64))
-    return total
-
-
-_SQ_CHUNK = 1 << 20  # entries widened to int64 and squared at a time
-
-
-def exact_square_sum(arr: np.ndarray, bound_bits: int) -> int:
-    """Sum of the squares of an integer array, exactly, as a Python int.
-
-    ``bound_bits`` bounds the bit length of any square; at most 63, so every
-    square fits int64.  Entries are widened to int64 and squared 2^20 at a
-    time, so the temporaries stay at 8 MiB whatever the array's size.
-    """
-    if bound_bits > 63:
-        raise ValueError(f"squares of up to {bound_bits} bits do not fit int64")
-    flat = np.ravel(arr)
-    total = 0
-    for lo in range(0, flat.size, _SQ_CHUNK):
-        seg = flat[lo : lo + _SQ_CHUNK].astype(np.int64)
-        np.multiply(seg, seg, out=seg)
-        total += exact_sum(seg, bound_bits)
     return total
 
 

@@ -318,6 +318,12 @@ def _cmd_check_theorem(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _budget_log(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="plateau",
@@ -325,19 +331,20 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def budgets(p: argparse.ArgumentParser) -> None:
+    def budgets(p: argparse.ArgumentParser, table: bool = True) -> None:
         p.add_argument(
             "--max-profile-log",
-            type=int,
+            type=_budget_log,
             default=28,
             help="allow per-component spectra only while p^(n+m) <= 2^K (default 28)",
         )
-        p.add_argument(
-            "--max-table-log",
-            type=int,
-            default=28,
-            help="allow difference-table work only while p^(2n) <= 2^K (default 28)",
-        )
+        if table:
+            p.add_argument(
+                "--max-table-log",
+                type=_budget_log,
+                default=28,
+                help="allow difference-table work only while p^(2n) <= 2^K (default 28)",
+            )
 
     pa = sub.add_parser("analyze", help="report distribution, spectra, and checks")
     pa.add_argument("file", help="function table (text or binary)")
@@ -366,12 +373,7 @@ def _parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("spectrum", help="dump all Walsh values as CSV")
     ps.add_argument("file", help="function table")
-    ps.add_argument(
-        "--max-profile-log",
-        type=int,
-        default=28,
-        help="refuse dumps with p^(n+m) > 2^K (default 28)",
-    )
+    budgets(ps, table=False)
     ps.add_argument("-o", "--output", help="output file (default stdout)")
     ps.set_defaults(fn=_cmd_spectrum)
 

@@ -4,8 +4,8 @@ A DDT row for the input difference c counts solutions of F(x+c) - F(x) = d.
 One kernel, ddt_rows, serves every p: the index x - c and the difference
 F(x) - F(x - c) both come from domain.vec_sub_arrays.  Rows are produced
 lazily, a chunk of input differences at a time, so summaries never hold more
-than _SCRATCH counts or gathered values at once (or one row, when p^n or p^m
-alone is larger).  The fourth moment of the Walsh spectrum is computed on
+than _util.SCRATCH counts or gathered values at once (or one row, when p^n or
+p^m alone is larger).  The fourth moment of the Walsh spectrum is computed on
 the differential side, p^(n+m) * sum of squared difference-map fiber sizes,
 which equals the spectral sum over all (b, a); the spectral side is
 recomputed directly as a cross-check whenever the table is small enough.
@@ -18,18 +18,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import walsh
-from ._util import exact_sum
+from . import _util
 from .cyclotomic import CycInt
 from .domain import FuncTable, vec_sub_arrays
-from .errors import InternalCheckError
-from .walsh import walsh_row, walsh_rows_signs_p2
-
-# entries in one block of difference rows: a chunk of input differences c
-# covers at most this many gathered values and at most this many bincount
-# counts (or one row, when p^n or p^m alone is larger); 2^16 keeps a block's
-# temporaries inside a core's L2 cache
-_SCRATCH = 1 << 16
+from .errors import BudgetError, InternalCheckError
+from .walsh import WalshVector, walsh_row, walsh_rows_signs_p2
 
 
 def ddt_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
@@ -43,7 +36,9 @@ def ddt_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
     pr = table.params
     p, n, m = pr.p, pr.n, pr.m
     pn, pm = pr.domain_size, pr.codomain_size
-    chunk = max(1, _SCRATCH // max(pn, pm))
+    # a chunk of input differences covers at most SCRATCH gathered values
+    # and SCRATCH bincount counts, or one row
+    chunk = max(1, _util.SCRATCH // max(pn, pm))
     # values and indices in the narrowest dtypes, which the XOR of
     # vec_sub_arrays keeps at p = 2; only the bincount key is int64 at every p
     vals = table.values.astype(np.min_scalar_type(pm - 1))
@@ -125,13 +120,12 @@ class FourthMoment:
 def _diff_sq_sum_all(table: FuncTable) -> int:
     """Sum over every c (including 0) and d of squared DDT entries."""
     pr = table.params
-    bits = (pr.domain_size ** 2).bit_length()
     total = pr.domain_size ** 2  # c = 0 row: single spike of p^n
     # a row's nonnegative entries total p^n, so its squares sum to at most
-    # (p^n)^2: one int64 dot product per row while that fits in 62 bits
-    for _, row in ddt_rows(table):
-        total += int(row @ row) if bits <= 62 else exact_sum(row * row, bits)
-    return total
+    # (p^n)^2: one int64 dot product per row
+    if not _util.fits_int64(total):
+        raise BudgetError(f"squared DDT rows at p={pr.p}, n={pr.n} exceed the int64 budget")
+    return total + sum(int(row @ row) for _, row in ddt_rows(table))
 
 
 def _walsh_fourth_sum_all(table: FuncTable) -> "int | CycInt":
@@ -142,20 +136,15 @@ def _walsh_fourth_sum_all(table: FuncTable) -> "int | CycInt":
     ring element that equals the differential side when the code is right.
     """
     pr = table.params
-    n = pr.n
-    if pr.p == 2 and 4 * n + 1 <= 62:
-        total = 0
-        step = max(1, walsh._ROWS_SCRATCH // pr.domain_size)
-        for lo in range(0, pr.codomain_size, step):
-            bs = np.arange(lo, min(lo + step, pr.codomain_size), dtype=np.int64)
-            rows = walsh_rows_signs_p2(table, bs).astype(np.int64)
-            sq = rows * rows
-            total += exact_sum(sq * sq, 4 * n + 1)
-        return total
+    pm = pr.codomain_size
+    if pr.p == 2:
+        step = max(1, _util.ROWS_SCRATCH // pr.domain_size)
+        batches = (np.arange(lo, min(lo + step, pm), dtype=np.int64) for lo in range(0, pm, step))
+        vecs = (WalshVector(2, pr.n, walsh_rows_signs_p2(table, bs).reshape(-1)) for bs in batches)
+    else:
+        vecs = (walsh_row(table, b) for b in range(pm))
     # |W|^2 is real, so the squared modulus of |W|^2 is |W|^4
-    return sum(
-        walsh_row(table, b).sq_moduli().sq_total() for b in range(pr.codomain_size)
-    )
+    return sum(vec.sq_moduli().sq_total() for vec in vecs)
 
 
 def fourth_moment(table: FuncTable) -> FourthMoment:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ._util import ceil_div
+from ._util import ceil_div, require_counts
 from .domain import DomainParams, FuncTable, dot_array
 from .errors import InternalCheckError
 from .verdict import CheckResult
@@ -69,6 +69,7 @@ class PreimageDist:
 
 def preimage_distribution(table: FuncTable) -> PreimageDist:
     pr = table.params
+    require_counts(pr.codomain_size, pr.domain_size)
     counts = np.bincount(table.values, minlength=pr.codomain_size)
     counts.setflags(write=False)
     sizes, mults = np.unique(counts[counts > 0], return_counts=True)

@@ -9,13 +9,13 @@ Odd-p digitwise subtraction of index arrays (vec_sub_arrays) never divides
 digit by digit.  It reads a cached digit-group table: for g digits,
 T[u * p^g + v] is the index of the digitwise difference u - v, with u and v
 below p^g.  Length-k operands split into the fewest groups whose table has
-at most _DIGIT_TABLE = 2^16 entries, g = ceil(k / groups) digits each, so
-every table value is below p^g <= 2^8 and the table is uint8, 64 KiB at
-most.  Each group costs one division of each operand by p^(g*i), before
-the operands are broadcast together, and one gather; the gathered values are
-widened to int64 before they are scaled by p^(g*i) and accumulated, since the
-scaled values overflow any narrow dtype.  Primes with p^2 > 2^16 have no
-table and keep the per-digit loop.
+at most _util.SCRATCH entries, g = ceil(k / groups) digits each, and the
+table is stored in the narrowest unsigned dtype that holds p^g - 1.  Each
+group costs one division of each operand by p^(g*i), before the operands are
+broadcast together, and one gather; the gathered values are widened to int64
+before they are scaled by p^(g*i) and accumulated, since the scaled values
+overflow any narrow dtype.  Primes with p^2 > SCRATCH have no table and keep
+the per-digit loop.  Index sizes are held to _util.fits_int64.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-_MAX_INDEX = 1 << 62
+from . import _util
+from ._util import fits_int64
 
 
 def is_prime(p: int) -> bool:
@@ -91,15 +92,11 @@ def dot(i: int, j: int, p: int, length: int) -> int:
 # ---------------------------------------------------------------------------
 # vectorized variants over numpy index arrays (exact int64 arithmetic)
 
-# entries of one digit-group subtraction table (see the module docstring)
-_DIGIT_TABLE = 1 << 16
-
-
 def _group_digits(p: int, length: int) -> int:
     """Digits per group: ceil(length / groups) for the fewest groups whose
-    table has at most _DIGIT_TABLE entries; 0 when even one digit has none."""
+    table has at most _util.SCRATCH entries; 0 when even one digit has none."""
     g = 0
-    while p ** (2 * (g + 1)) <= _DIGIT_TABLE:
+    while p ** (2 * (g + 1)) <= _util.SCRATCH:
         g += 1
     if g == 0:
         return 0
@@ -117,7 +114,7 @@ def _sub_table(p: int, g: int) -> np.ndarray:
         d = (u // pk) % p
         table += (d[:, None] - d[None, :]) % p * pk
         pk *= p
-    table = table.reshape(-1).astype(np.uint8)
+    table = table.reshape(-1).astype(np.min_scalar_type(p**g - 1))
     table.setflags(write=False)
     return table
 
@@ -145,7 +142,8 @@ def vec_sub_arrays(us: np.ndarray, vs: np.ndarray, p: int, length: int) -> np.nd
                 vg %= q
             ug *= q
             part = table.take(np.add(ug, vg, dtype=np.int64))
-            # widen before scaling: p^lo times a group overflows uint8
+            # widen before scaling: p^lo times a group overflows the table's
+            # narrow dtype
             out += np.multiply(part, pk, dtype=np.int64)
         return out
     # the digits are subtracted, so unsigned operands are widened first
@@ -226,7 +224,7 @@ class DomainParams:
             raise ValueError(f"dimensions must be >= 1, got n={n} m={m}")
         # each bound is checked before the power it guards, and all of them
         # before the primality test, so no header costs bigint arithmetic
-        if p >= 2 and (p >= _MAX_INDEX or max(n, m) >= 62 or p ** max(n, m) >= _MAX_INDEX):
+        if p >= 2 and not (fits_int64(p) and max(n, m) < 62 and fits_int64(p ** max(n, m))):
             raise ValueError(f"p^n and p^m must stay below 2^62; got p={p} n={n} m={m}")
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")

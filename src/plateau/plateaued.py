@@ -12,7 +12,7 @@ One classifier, _classify_rows, serves every p: one two-valued test, one
 power-of-p test (a cached table of the powers below 2^62) and one Parseval
 guard over a block of rows.  The only p split is the row source: |W| from
 walsh_rows_signs_p2 at p = 2; at odd p the rational |W|^2 of one walsh_row
-per mask, 0 where irrational.  walsh._ROWS_SCRATCH, never the worker count,
+per mask, 0 where irrational.  _util.ROWS_SCRATCH, never the worker count,
 sizes the blocks.
 
 Every named check returns a CheckResult instead of assuming its hypotheses:
@@ -30,15 +30,15 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import walsh
-from ._util import exact_sum, run_ordered, thread_count
+from . import _util
+from ._util import exact_sum, fits_int64, run_ordered, thread_count
 # the checks take their artifacts from an Analysis; diff_summary,
 # preimage_distribution and zero_column stay importable here because
 # perfbench/tracer.py wraps them under these names
 from .differential import diff_summary
 from .distribution import PreimageDist, preimage_distribution
 from .domain import DomainParams, FuncTable
-from .errors import InternalCheckError
+from .errors import BudgetError, InternalCheckError
 from .verdict import CheckResult, combine
 from .walsh import walsh_row, walsh_rows_signs_p2, zero_column
 
@@ -65,7 +65,7 @@ _THREADED_ROW_GATHERS = 1 << 17
 def _p_powers(p: int) -> np.ndarray:
     """p^0, p^1, ..., every power of p below 2^62, as int64."""
     powers = [1]
-    while powers[-1] * p < 1 << 62:
+    while fits_int64(powers[-1] * p):
         powers.append(powers[-1] * p)
     table = np.array(powers, dtype=np.int64)
     table.setflags(write=False)
@@ -171,8 +171,8 @@ def _classify_rows(
     rational says a row has no other entries, balanced that W(b, 0) = 0.  A
     rational row is t-plateaued when its nonzero entries are one value and
     its |W|^2 is p^(n+t), t >= 0; t is -1 otherwise.  max_sq is the largest
-    rational |W|^2 of each row, at most p^(2n) < 2^62 (walsh._guard_int64,
-    and n <= 30 at p = 2), so it fits int64.
+    rational |W|^2 of each row, at most p^(2n), which component_profile
+    holds to the int64 rule.
     """
     support = np.count_nonzero(mags, axis=1)
     top = mags.max(axis=1)
@@ -195,6 +195,8 @@ def component_profile(table: FuncTable, threads: Optional[int] = None) -> Amplit
     pr = table.params
     p, n, pn, pm = pr.p, pr.n, pr.domain_size, pr.codomain_size
     workers = thread_count() if threads is None else threads
+    if not fits_int64(pn * pn):
+        raise BudgetError(f"squared Walsh values at p={p}, n={n} exceed the int64 budget")
     if p == 2:
         width = 256
 
@@ -222,7 +224,7 @@ def component_profile(table: FuncTable, threads: Optional[int] = None) -> Amplit
             return sq, 1, rational, balanced
 
     # masks per batch: fixed, so output never depends on the worker count
-    step = min(width, max(1, walsh._ROWS_SCRATCH // pn))
+    step = min(width, max(1, _util.ROWS_SCRATCH // pn))
     batches = [np.arange(lo, min(lo + step, pm), dtype=np.int64) for lo in range(1, pm, step)]
     results = run_ordered(lambda bs: _classify_rows(p, n, *rows(bs)), batches, workers)
     t_values = np.full(pm, -1, dtype=np.int64)

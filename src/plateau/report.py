@@ -90,7 +90,7 @@ def require_budget(params: DomainParams, opts: AnalysisOptions, artifact: str) -
         cost, log, what = pn * params.codomain_size, opts.max_profile_log, "component profile"
     else:
         cost, log, what = pn * pn, opts.max_table_log, "difference table"
-    if opts.zero_column_only or cost > 1 << log:
+    if opts.zero_column_only or (cost - 1).bit_length() > log:  # cost > 2^log, no 2^log built
         raise Withheld(f"{what} over budget")
 
 

@@ -8,20 +8,16 @@ one size-p DFT per base-p axis for odd p.
 Every p = 2 transform here is of +-1 sign rows of length 2^n or of preimage
 counts totalling 2^n, so every value, intermediate ones included, has
 magnitude at most 2^n.  One rule (_p2_dtype) turns that bound into the
-narrowest dtype that holds it: int16 while n <= 14, int32 while n <= 30,
-int64 while n <= 62, BudgetError beyond.
+narrowest dtype that holds it.
 
 Odd-p intermediate values live in (size, p) int64 matrices of exponent
 coefficients: entry [i, k] is the coefficient of zeta^k before
 canonicalization.  The DFT along one axis (dft_p_axes) is a gather: output
 coefficient k at frequency j is the sum over positions t of input coefficient
-k - j*t (mod p), read straight from the untransposed input through one cached
-flat index, so each axis costs a fixed number of numpy calls whatever p is.
-The coefficients are exponent counts, nonnegative and totalling p^n, and
-squared-modulus coefficients are at most p^(2n+1); _guard_int64 refuses
-p^(2n+1) >= 2^62.  The index and the gathered values cover blocks of rows of
-at most _DFT_SCRATCH entries each (p^3 when one row is larger), so a
-transform needs its input, two output buffers, one index and one block.
+k - j*t (mod p), read straight from the untransposed input through a cached
+flat index.  The coefficients are exponent counts, nonnegative and totalling
+p^n, and squared-modulus coefficients are at most p^(2n+1), which
+_guard_int64 holds to _util.fits_int64; takes are sized by _util.SCRATCH.
 
 Rows and the zero column are returned as WalshVector, the one type that
 knows this layout and the p = 2 / odd-p split: callers ask it for values
@@ -40,11 +36,12 @@ reference oracle for every fast path.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from ._util import exact_square_sum, exact_sum
+from . import _util
+from ._util import exact_sum, fits_int64
 from .cyclotomic import CycInt
 from .domain import DomainParams, FuncTable, dot, dot_array
 from .errors import BudgetError
@@ -158,19 +155,15 @@ def _sign_transform(bits: np.ndarray, n: int) -> np.ndarray:
     return fwht_last_axis(signs)
 
 
-# dft_p_axes: entries of the flat take index, and of the gathered block, per
-# block of rows
-_DFT_SCRATCH = 1 << 16
-
-
 @functools.lru_cache(maxsize=16)
-def _dft_take_index(p: int, sign: int, rest: int, rows: int) -> np.ndarray:
-    """idx[t, (r, j, k)] = (t*rest + r)*p + (k - sign*j*t) % p for r < rows:
-    where, in the flat (p, rest, p) input, output coefficient k of frequency
-    j of row r reads input coefficient k - sign*j*t of position t."""
-    t, r, j, k = np.ix_(range(p), range(rows), range(p), range(p))
-    # built in place where it can be, so that at most one p^3 temporary
-    # sits beside the index
+def _dft_take_index(p: int, sign: int, rest: int, rows: int, js: range) -> np.ndarray:
+    """idx[t, (r, j - js.start, k)] = (t*rest + r)*p + (k - sign*j*t) % p for
+    r < rows and j in js: where, in the flat (p, rest, p) input, output
+    coefficient k of frequency j of row r reads input coefficient
+    k - sign*j*t of position t."""
+    t, r, j, k = np.ix_(range(p), range(rows), js, range(p))
+    # built in place where it can be, so that at most one temporary of the
+    # index's size sits beside it
     idx = k - sign * j * t
     idx %= p
     # left writable: np.take copies a read-only index on every call
@@ -187,43 +180,47 @@ def dft_p_axes(mat: np.ndarray, p: int, axes: int, sign: int) -> np.ndarray:
     C-contiguous input as a flat (p, rest, p) array (position t, row r,
     coefficient e), with no transposed copy, through the flat index of
     _dft_take_index: block by block over `rest` it is one take into a
-    (p, rows*p*p) buffer and one np.add.reduce over t, so output coefficient
-    k of frequency j of row r is the sum over t of input coefficient
-    k - sign*j*t.  The block starting at row lo takes from the view
-    flat[lo*p:], so one index serves every block and every step.  That is
-    two numpy calls per block, whatever p is.
+    (p, rows*frequencies*p) buffer and one np.add.reduce over t, so output
+    coefficient k of frequency j of row r is the sum over t of input
+    coefficient k - sign*j*t.  The block starting at row lo takes from the
+    view flat[lo*p:], so one index serves every block of a step.
 
     Bounds: a step only adds nonnegative exponent counts, so every entry
     stays at most the sum of the input (p^n for walsh_row and zero_column)
     and int64 cannot overflow; _guard_int64 bounds the squared moduli taken
-    afterwards.  A row of a block is p^3 index entries and p^3 gathered
-    values; blocks have max(1, _DFT_SCRATCH // p^3) rows, so the index and
-    the gather buffer each hold at most max(p^3, _DFT_SCRATCH) entries.  The
-    steps alternate between two output buffers, so a transform needs its
-    input, those two, one index and one gather buffer.  The index cache holds
-    16 indices.
-    """
+    afterwards.  A take and its index hold at most max(p^2, _util.SCRATCH)
+    entries, p^2 a frequency of a row: all frequencies of max(1, SCRATCH // p^3)
+    rows while p^3 <= SCRATCH, else max(1, SCRATCH // p^2) frequencies of one
+    row; besides them a transform needs its input and two output buffers."""
     rest = mat.shape[0] // p
-    block = min(rest, max(1, _DFT_SCRATCH // p**3))
-    idx = _dft_take_index(p, sign, rest, block)
-    # one gather buffer for every block and step: a fresh one per block can
-    # cost a heap trim and page faults each time
-    taken = np.empty(idx.size, dtype=mat.dtype)
-    blocks = []  # (first row, index, gather buffer) per block
-    for lo in range(0, rest, block):
-        width = min(block, rest - lo) * p * p
-        part = idx if width == idx.shape[1] else idx[:, :width]
-        blocks.append((lo, part, taken[: p * width].reshape(p, width)))
+    if p**3 <= _util.SCRATCH:
+        span, block = p, min(rest, _util.SCRATCH // p**3)  # frequencies, rows per take
+    else:
+        span, block = max(1, _util.SCRATCH // (p * p)), 1
+    # one gather buffer for every take: a fresh one per take can cost a heap
+    # trim and page faults each time
+    taken = np.empty(p * block * span * p, dtype=mat.dtype)
+
+    def takes(js: range) -> Iterator[tuple]:
+        idx = _dft_take_index(p, sign, rest, block, js)
+        for lo in range(0, rest, block):
+            width = min(block, rest - lo) * len(js) * p
+            start = (lo * p + js.start) * p
+            yield lo * p, idx[:, :width], taken[: p * width].reshape(p, width), start, width
+
+    # one plan for every step; split frequencies are replanned: their indices total p^3
+    held = list(takes(range(p))) if span == p else None
     # the steps alternate between two output buffers
     flat = mat.reshape(-1)
     spare = [np.empty_like(flat) for _ in range(min(axes, 2))]
     for step in range(axes):
         out = spare[step % 2]
-        for lo, part, buf in blocks:
-            # every index is in range; mode="clip" only skips the buffered
-            # copy that out= costs under mode="raise"
-            flat[lo * p :].take(part, out=buf, mode="clip")
-            np.add.reduce(buf, axis=0, out=out[lo * p * p : lo * p * p + buf.shape[1]])
+        for j0 in range(0, p, span):
+            for off, part, buf, start, width in held or takes(range(j0, min(j0 + span, p))):
+                # every index is in range; mode="clip" only skips the
+                # buffered copy that out= costs under mode="raise"
+                flat[off:].take(part, out=buf, mode="clip")
+                np.add.reduce(buf, axis=0, out=out[start : start + width])
         flat = out
     return flat.reshape(-1, p)
 
@@ -251,7 +248,7 @@ def _shift_index(p: int) -> np.ndarray:
 
 def _guard_int64(p: int, n: int) -> None:
     # squared-modulus coefficients are bounded by p^(2n+1)
-    if p ** (2 * n + 1) >= 1 << 62:
+    if not fits_int64(p ** (2 * n + 1)):
         raise BudgetError(f"odd-p spectra at p={p}, n={n} exceed the int64 budget")
 
 
@@ -285,11 +282,9 @@ class WalshVector:
         return self.data[:, : self.p - 1] - self.data[:, self.p - 1 :]
 
     def _fits_int64(self) -> bool:
-        """Whether a square (p = 2) or a squared-modulus coefficient (odd p),
-        at most p^(2n), fits int64 with the headroom the exact sums use."""
-        if self.p == 2:
-            return 2 * self.n + 1 <= 63
-        return self.p ** (2 * self.n + 3) < 1 << 62
+        """Whether a squared-modulus coefficient, at most p^(2n), stays in
+        int64 with the headroom the exact sums use."""
+        return fits_int64(self.p ** (2 * self.n + 3))
 
     def sq_moduli(self) -> "WalshVector":
         """The vector of |v_i|^2, exact; for odd p an entry can be a
@@ -301,19 +296,16 @@ class WalshVector:
 
     def sq_total(self) -> "int | CycInt":
         """Sum of |v_i|^2, exact; a Python int when rational (always for a
-        spectrum row, p^(2n) by Parseval, and for the zero column)."""
-        if self.p == 2 and self._fits_int64():
-            # squared in 2^20-entry chunks, never widening the whole vector
-            return exact_square_sum(self.data, 2 * self.n + 1)
-        return self.sq_moduli().total()
+        spectrum row, p^(2n) by Parseval, and for the zero column).  Squared
+        _util.SCRATCH entries at a time, never widening the whole vector."""
+        step = _util.SCRATCH
+        slices = (self.data[lo : lo + step] for lo in range(0, len(self), step))
+        return _exact_total(self.p, (WalshVector(self.p, self.n, s).sq_moduli() for s in slices))
 
     def total(self) -> "int | CycInt":
         """Sum of the values, exact: a Python int when rational, else a
         CycInt.  For the zero column it is p^m * |F^{-1}(0)|."""
-        coords = self.basis_coords()
-        bits = (self.p ** self.n).bit_length() + 1
-        v = CycInt(self.p, [exact_sum(coords[:, k], bits) for k in range(self.p - 1)])
-        return v.coeffs[0] if v.is_rational() else v
+        return _exact_total(self.p, [self])
 
     def integers(self) -> tuple[np.ndarray, np.ndarray]:
         """(rational, ints): rational[i] says entry i is a rational integer,
@@ -351,6 +343,17 @@ class WalshVector:
         return int(self.data.shape[0])
 
 
+def _exact_total(p: int, vecs: Iterable[WalshVector]) -> "int | CycInt":
+    """Sum of every entry of every vector, exact: an int when rational."""
+    sums = [0] * (p - 1)
+    for vec in vecs:
+        coords = vec.basis_coords()
+        bits = (p**vec.n).bit_length() + 1
+        sums = [s + exact_sum(coords[:, k], bits) for k, s in enumerate(sums)]
+    v = CycInt(p, sums)
+    return v.coeffs[0] if v.is_rational() else v
+
+
 def walsh_row(table: FuncTable, b: int) -> WalshVector:
     """Full spectrum row for output mask b via fast butterflies."""
     pr = table.params
@@ -363,24 +366,17 @@ def walsh_row(table: FuncTable, b: int) -> WalshVector:
     return WalshVector(p, n, dft_p_axes(mat, p, n, sign=-1))
 
 
-# entries of one batch of spectrum rows: the profile and the fourth-moment
-# check take at most max(1, _ROWS_SCRATCH // p^n) masks a batch
-_ROWS_SCRATCH = 1 << 22
-
-
 def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
     """Batched transformed rows for p=2: (len(bs), 2^n) in _p2_dtype(n).
 
-    Entries are bounded by 2^n in magnitude: int16 while n <= 14, int32
-    while n <= 30.  Batches beyond n = 30 are refused.  The masks and values
-    are ANDed in the narrowest unsigned dtype that holds 2^m - 1, so the
-    (len(bs), 2^n) temporary is 1 to 8 bytes an entry instead of 8.
+    Entries are bounded by 2^n in magnitude, which _p2_dtype turns into a
+    dtype.  The masks and values are ANDed in the narrowest unsigned dtype
+    that holds 2^m - 1, so the (len(bs), 2^n) temporary is 1 to 8 bytes an
+    entry instead of 8.
     """
     pr = table.params
     if pr.p != 2:
         raise ValueError("batched sign rows are a p=2 path")
-    if pr.n > 30:
-        raise BudgetError("batched rows beyond n=30 exceed the int32 budget")
     word = np.min_scalar_type(pr.codomain_size - 1)
     masked = table.values.astype(word)[None, :] & bs.astype(word)[:, None]
     fb = np.bitwise_count(masked) & np.uint8(1)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import sysconfig
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,55 @@ def test_analyze_past_int64_bound_exit(wide_file, capsys):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "exceed the int64 budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("m", [30, 40])
+def test_analyze_count_array_over_budget_exit(tmp_path, capsys, m):
+    """A 16-entry table whose p^m-entry preimage count array would be 8 GiB
+    (m = 30) or 8 TiB (m = 40) is refused before anything is allocated."""
+    rng = np.random.default_rng(m)
+    path = tmp_path / "wide_m.txt"
+    write_function_file(FuncTable(DomainParams(2, 4, m), rng.integers(1 << m, size=16)), path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(path), "--all")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "count array" in err and "out of memory" not in err
+
+
+def test_huge_budget_log_builds_no_huge_integer(cube_file, capsys):
+    """K = 10^9 once built a 2^K integer (125 MB) and K = 10^11 ran out of
+    memory; now both give the default report without a large allocation."""
+    code, want, _ = run(capsys, "analyze", cube_file, "--all")
+    assert code == 0
+    for k in ("1000000000", "100000000000"):
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "analyze", cube_file, "--all", "--max-profile-log", k, "--max-table-log", k
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (0, want, "")
+        assert peak < 16 << 20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{f}", "--max-profile-log", "-1"),
+        ("analyze", "{f}", "--max-table-log", "-1"),
+        ("spectrum", "{f}", "--max-profile-log", "-1"),
+        ("check-theorem", "--paper-ref", "platdto1", "{f}", "--max-table-log", "-1"),
+        ("check-theorem", "--paper-ref", "platdto1", "{f}", "--max-profile-log", "-1"),
+    ],
+)
+def test_negative_budget_log_is_usage_error(cube_file, capsys, argv):
+    code, out, err = run(capsys, *(a.format(f=cube_file) for a in argv))
+    assert code == 2 and out == ""
+    assert "must be >= 0" in err and "negative shift count" not in err
 
 
 def test_analyze_missing_file(capsys):
@@ -481,7 +531,22 @@ def test_p2_fork_count_does_not_grow():
         for line in path.read_text().splitlines()
         if re.search(r"p == 2|p != 2", line)
     ]
-    assert len(forks) <= 27
+    assert len(forks) <= 25
+
+
+def test_resource_rules_live_in_util():
+    """The scratch sizes and the 2^62 int64 rule are stated once, in _util:
+    no other module spells 1 << 62 or assigns a module-level *SCRATCH* or
+    *_CHUNK name."""
+    src = Path(plateau.__file__).parent
+    offenders = [
+        (path.name, line)
+        for path in sorted(src.glob("*.py"))
+        if path.name != "_util.py"
+        for line in path.read_text().splitlines()
+        if "1 << 62" in line or re.match(r"\w*(SCRATCH\w*|_CHUNK)\s*(:[^=]*)?=", line)
+    ]
+    assert offenders == []
 
 
 def test_test_extra_lists_test_dependencies():

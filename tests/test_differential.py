@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from plateau import differential
+from plateau import _util
 from plateau.constructions import monomial
 from plateau.cyclotomic import CycInt
 from plateau.differential import (
@@ -77,7 +77,7 @@ def test_ddt_rows_across_chunks_match_oracle(case):
     pr = tbl.params
     want = o.ddt_table(pr.p, pr.n, pr.m, list(tbl))
     scratch = chunk * max(pr.domain_size, pr.codomain_size)
-    with mock.patch.object(differential, "_SCRATCH", scratch):
+    with mock.patch.object(_util, "SCRATCH", scratch):
         rows = [(c, row.copy()) for c, row in ddt_rows(tbl)]
     assert [c for c, _ in rows] == list(range(1, pr.domain_size))
     for c, row in rows:
@@ -90,7 +90,7 @@ def test_odd_ddt_rows_across_chunks(monkeypatch, p, n, m):
     every table spans several chunks and the last one is partial."""
     tbl = random_table(p, n, m, 60 + p)
     want = o.ddt_table(p, n, m, list(tbl))
-    monkeypatch.setattr(differential, "_SCRATCH", 7 * p**n)
+    monkeypatch.setattr(_util, "SCRATCH", 7 * p**n)
     rows = [(c, row.copy()) for c, row in ddt_rows(tbl)]
     assert [c for c, _ in rows] == list(range(1, p**n))
     for c, row in rows:
@@ -101,7 +101,7 @@ def test_p2_ddt_rows_across_chunks(monkeypatch):
     """Chunks of 3 input differences over the 31 rows: the last is partial."""
     tbl = random_table(2, 5, 3, 61)
     want = o.ddt_table(2, 5, 3, list(tbl))
-    monkeypatch.setattr(differential, "_SCRATCH", 3 * 2**5)
+    monkeypatch.setattr(_util, "SCRATCH", 3 * 2**5)
     rows = [(c, row.copy()) for c, row in ddt_rows(tbl)]
     assert [c for c, _ in rows] == list(range(1, 32))
     for c, row in rows:
@@ -123,7 +123,7 @@ def test_p2_ddt_rows_chunk_counts_the_wider_side(monkeypatch):
     """The chunk rule divides the scratch by max(p^n, p^m): with 2^10 entries
     and 2^12 counts per row, every (2, 3, 12) row has a block of its own."""
     tbl = random_table(2, 3, 12, 63)
-    monkeypatch.setattr(differential, "_SCRATCH", 1 << 10)
+    monkeypatch.setattr(_util, "SCRATCH", 1 << 10)
     for c, row in ddt_rows(tbl):
         assert row.base.size == 1 << 12, c
         assert np.array_equal(row, p2_row(tbl, c)), c
@@ -247,8 +247,9 @@ def test_spectral_fourth_moment_past_the_int64_bound():
 
 
 def test_spectral_fourth_moment_p2_past_the_batched_bound():
-    """At n = 16 the p = 2 fourth powers leave int64; per-row sums match
-    Python-int sums of the row values."""
+    """At n = 16 the p = 2 fourth powers leave int64: the batched rows take
+    the Python-int path of sq_total and match Python-int sums of the row
+    values."""
     tbl = random_table(2, 16, 1, 48)
     want = sum(int(w) ** 4 for b in range(2) for w in walsh_row(tbl, b).values())
     assert _walsh_fourth_sum_all(tbl) == want

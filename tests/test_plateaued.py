@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles as o
-from plateau import plateaued, walsh
+from plateau import _util, plateaued, walsh
 from plateau._util import run_ordered
 from plateau.constructions import monomial
 from plateau.distribution import preimage_distribution
@@ -341,7 +341,7 @@ def test_profile_batches_follow_row_budget(monkeypatch):
         sizes.append(len(bs))
         return walsh.walsh_rows_signs_p2(table, bs)
 
-    monkeypatch.setattr(walsh, "_ROWS_SCRATCH", 1 << 12)
+    monkeypatch.setattr(_util, "ROWS_SCRATCH", 1 << 12)
     monkeypatch.setattr(plateaued, "walsh_rows_signs_p2", spy)
     got = component_profile(tbl)
     assert sum(sizes) == 7 and max(sizes) <= 4

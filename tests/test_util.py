@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from plateau._util import ceil_div, exact_square_sum, exact_sum, run_ordered, thread_count
+from plateau._util import ceil_div, exact_sum, fits_int64, require_counts, run_ordered, thread_count
+from plateau.errors import BudgetError
 from plateau.verdict import CheckResult, combine
 
 
@@ -107,30 +108,32 @@ def test_as_dict_is_json_ready():
     assert back["details"]["pair"] == [1, "two"]
 
 
-def test_exact_square_sum_at_the_bit_bounds():
-    # |x| = 2^k has square 2^(2k), bound 2k + 1 bits, up to 2^62 (63 bits)
-    for k in range(32):
-        arr = np.array([1 << k, -(1 << k)] * 3, dtype=np.int64)
-        want = sum(int(v) * int(v) for v in arr.tolist())
-        assert exact_square_sum(arr, 2 * k + 1) == want == 6 << (2 * k)
-    # the largest magnitude whose square fits int64
-    top = 3037000499
-    assert top * top < 1 << 63 < (top + 1) ** 2
-    arr = np.array([top, -top, top, 5], dtype=np.int64)
-    assert exact_square_sum(arr, 63) == sum(int(v) ** 2 for v in arr.tolist())
-    assert exact_square_sum(np.array([], dtype=np.int64), 10) == 0
-    with pytest.raises(ValueError):
-        exact_square_sum(arr, 64)
+@pytest.mark.parametrize("bits", [40, 50, 51, 55, 61, 62])
+def test_exact_sum_split_entries(bits):
+    """Past 50 bits each entry is summed as hi * 2^31 + lo; negative entries,
+    narrow and object arrays included, match Python-int sums."""
+    rng = np.random.default_rng(bits)
+    top = (1 << (bits - 1)) - 1
+    arr = rng.integers(-top, top, size=70_000, dtype=np.int64)
+    arr[:5] = [top, -top, -1, 0, 1]
+    want = sum(arr.tolist())
+    assert exact_sum(arr, bits) == want
+    assert exact_sum(arr.astype(object), bits) == want
+    assert exact_sum(arr[:0], bits) == 0
+    assert exact_sum(np.array([-3, 7], dtype=np.int16), bits) == 4
 
 
-def test_exact_square_sum_widens_narrow_dtypes_across_chunks():
-    # int16 -2^15 squares to 2^30, which int16 and int32 products overflow;
-    # 2^20 + 5 entries span two 2^20-entry chunks
-    count = (1 << 20) + 5
-    arr = np.full(count, -(1 << 15), dtype=np.int16)
-    assert exact_square_sum(arr, 31) == count << 30
-    rng = np.random.default_rng(92)
-    mixed = rng.integers(-(2**15), 2**15, size=count).astype(np.int32)
-    want = sum(int(v) * int(v) for v in mixed.tolist())
-    assert exact_square_sum(mixed, 31) == want
-    assert exact_square_sum(mixed.reshape(3, -1), 31) == want
+def test_fits_int64_is_below_2_to_62():
+    assert fits_int64(0) and fits_int64((1 << 62) - 1)
+    assert not fits_int64(1 << 62)
+    assert not fits_int64(3**40)
+
+
+def test_count_array_rule():
+    """A codomain-indexed count array may have max(p^n, 2^28) entries."""
+    require_counts(1 << 28, 16)
+    require_counts(1 << 30, 1 << 30)
+    with pytest.raises(BudgetError, match="exceeds max"):
+        require_counts((1 << 28) + 1, 16)
+    with pytest.raises(BudgetError):
+        require_counts(1 << 31, 1 << 30)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import tracemalloc
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from plateau import walsh
+from plateau import _util
 from plateau.cyclotomic import CycInt
 from plateau.distribution import preimage_distribution
 from plateau.domain import DomainParams, FuncTable, dot_array
@@ -301,9 +304,7 @@ def test_walsh_vector_matches_walsh_point(case):
 def test_p2_fourth_powers_past_int64():
     """At n = 16 the square of a +-2^16 entry fits int64 but its fourth power
     2^64 does not; the sums match Python-int sums."""
-    rng = np.random.default_rng(21)
-    data = ((1 - 2 * rng.integers(0, 2, size=4096)) << 16).astype(_p2_dtype(16))
-    data[::7] = 0
+    data = fourth_power_data()
     vec = WalshVector(2, 16, data)
     ints = [int(x) for x in data.tolist()]
     assert vec.sq_total() == sum(x * x for x in ints)
@@ -360,16 +361,34 @@ def test_sq_moduli_match_cycint(p, n):
     assert got.values() == want
 
 
+def dft_with_scratch(monkeypatch, p, axes, scratch):
+    """dft_p_axes of a random matrix for both signs, at the default scratch
+    size and at `scratch`."""
+    rng = np.random.default_rng(40 + p)
+    mat = rng.integers(0, 50, size=(p**axes, p), dtype=np.int64)
+    whole = [dft_p_axes(mat, p, axes, sign) for sign in (-1, 1)]
+    monkeypatch.setattr(_util, "SCRATCH", scratch)
+    return whole, [dft_p_axes(mat, p, axes, sign) for sign in (-1, 1)]
+
+
 @pytest.mark.parametrize("p, axes", [(3, 5), (5, 3), (7, 2)])
 def test_dft_p_axes_blocks_agree(monkeypatch, p, axes):
     """Forcing one (p, p, p) gather per block gives the same transform as
     one block, for both signs."""
-    rng = np.random.default_rng(40 + p)
-    mat = rng.integers(0, 50, size=(p**axes, p), dtype=np.int64)
-    whole = [dft_p_axes(mat, p, axes, sign) for sign in (-1, 1)]
-    monkeypatch.setattr(walsh, "_DFT_SCRATCH", p**3)
-    blocked = [dft_p_axes(mat, p, axes, sign) for sign in (-1, 1)]
+    whole, blocked = dft_with_scratch(monkeypatch, p, axes, p**3)
     for w, b in zip(whole, blocked):
+        assert b.dtype == w.dtype == np.int64
+        assert np.array_equal(w, b)
+
+
+@pytest.mark.parametrize("p, axes", [(3, 5), (5, 3), (7, 2)])
+@pytest.mark.parametrize("span", [1, 2])
+def test_dft_p_axes_frequency_split_agrees(monkeypatch, p, axes, span):
+    """With scratch for only `span` frequencies of one row, the takes split
+    the frequencies (the last take partial at odd p when span = 2): the same
+    transform, for both signs."""
+    whole, split = dft_with_scratch(monkeypatch, p, axes, span * p * p)
+    for w, b in zip(whole, split):
         assert b.dtype == w.dtype == np.int64
         assert np.array_equal(w, b)
 
@@ -379,7 +398,7 @@ def test_blocked_dft_p_axes_matches_walsh_counts(monkeypatch, p, n, m):
     """Blocks of two rows, the last one partial, against the direct sums for
     both signs: the exponent counts at frequency a are those of W(b, a) for
     sign -1 and of W(b, -a) for sign +1."""
-    monkeypatch.setattr(walsh, "_DFT_SCRATCH", 2 * p**3)
+    monkeypatch.setattr(_util, "SCRATCH", 2 * p**3)
     tbl = random_table(p, n, m, 60 + p)
     vals = list(tbl)
     b = p + 1
@@ -390,6 +409,108 @@ def test_blocked_dft_p_axes_matches_walsh_counts(monkeypatch, p, n, m):
         for a in range(p**n):
             freq = a if sign == -1 else o.vsub(0, a, p, n)
             assert got[a] == o.walsh_counts(p, n, m, vals, b, freq)
+
+
+def test_large_p_dft_stays_in_scratch():
+    """At p = 211, p^3 is 9.4M entries: the frequencies are split so that no
+    take holds more than p^2, and the zero column and a row each stay under
+    16 MB of traced allocations while matching the direct sums."""
+    p = 211
+    tbl = random_table(p, 1, 1, 211)
+    dist = preimage_distribution(tbl)
+    vals = list(tbl)
+    picks = [0, 1, 2, 105, 209, 210]
+    for build, fixed in ((lambda: zero_column(dist), 0), (lambda: walsh_row(tbl, 7), 7)):
+        tracemalloc.start()
+        try:
+            vec = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        coords = vec.basis_coords().tolist()
+        for i in picks:
+            b, a = (i, 0) if fixed == 0 else (fixed, i)
+            assert tuple(coords[i]) == o.counts_canonical(o.walsh_counts(p, 1, 1, vals, b, a), p)
+
+
+def fourth_power_data():
+    """+-2^16 at n = 16, every seventh entry 0: the squares fit int64, the
+    fourth powers 2^64 do not."""
+    rng = np.random.default_rng(21)
+    data = ((1 - 2 * rng.integers(0, 2, size=4096)) << 16).astype(_p2_dtype(16))
+    data[::7] = 0
+    return data
+
+
+@st.composite
+def walsh_vectors(draw):
+    """A vector at p in {2, 3, 5} and a scratch size small enough that it
+    spans several slices, the last one usually partial: p = 2 entries within
+    +-2^n, odd-p exponent counts totalling at most p^n."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 20))
+    size = draw(st.integers(1, 60))
+    if p == 2:
+        entries = st.integers(-(1 << n), 1 << n)
+        data = np.array(draw(st.lists(entries, min_size=size, max_size=size)), dtype=np.int64)
+    else:
+        entries = st.integers(0, p ** (n - 1))
+        rows = draw(st.lists(st.lists(entries, min_size=p, max_size=p), min_size=size, max_size=size))
+        data = np.array(rows, dtype=np.int64)
+    return WalshVector(p, n, data), draw(st.integers(1, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(walsh_vectors())
+@example(
+    (
+        # the data of test_p2_fourth_powers_past_int64: 2^64 fourth powers
+        WalshVector(2, 16, fourth_power_data()),
+        1000,
+    )
+)
+def test_sliced_sums_match_python_ints(case):
+    """sq_total slice by slice, of a vector and of its squared moduli (the
+    fourth powers at p = 2), equals the sum of Python-int or CycInt squares."""
+    vec, scratch = case
+    vals = vec.values()
+    sq = [w * w if vec.p == 2 else w.sq_modulus() for w in vals]
+    with mock.patch.object(_util, "SCRATCH", scratch):
+        got = vec.sq_total()
+        got_fourth = vec.sq_moduli().sq_total()
+    assert got == sum(sq)
+    assert got_fourth == sum(s * s for s in sq)
+    if vec.p <= 3:
+        # |w|^2 is rational in Z[zeta_3], and a rational total is an int
+        assert isinstance(got, int) and isinstance(got_fourth, int)
+
+
+def test_sq_total_widens_narrow_dtypes_across_slices():
+    """int16 -2^15 squares to 2^30, which int16 and int32 products overflow;
+    2^20 + 5 entries span 17 slices of 2^16, the last one partial."""
+    count = (1 << 20) + 5
+    vec = WalshVector(2, 15, np.full(count, -(1 << 15), dtype=np.int16))
+    assert vec.sq_total() == count << 30
+    rng = np.random.default_rng(92)
+    mixed = rng.integers(-(2**15), 2**15, size=count).astype(np.int32)
+    assert WalshVector(2, 15, mixed).sq_total() == sum(int(v) * int(v) for v in mixed.tolist())
+
+
+def test_sq_total_at_the_int64_bound():
+    """|x| = 2^n squares to 2^(2n): exact on both sides of the int64 rule
+    p^(2n+3) < 2^62, which moves p = 2 vectors to Python ints at n = 30."""
+    for n in range(33):
+        vec = WalshVector(2, n, np.array([1 << n, -(1 << n)] * 3, dtype=np.int64))
+        assert vec._fits_int64() == (n < 30)
+        assert vec.sq_total() == 6 << (2 * n)
+    # the largest magnitude whose square fits int64
+    top = 3037000499
+    assert top * top < 1 << 63 < (top + 1) ** 2
+    data = np.array([top, -top, top, 5], dtype=np.int64)
+    assert WalshVector(2, 32, data).sq_total() == sum(int(v) ** 2 for v in data.tolist())
+    assert WalshVector(2, 0, np.array([], dtype=np.int64)).sq_total() == 0
+    assert WalshVector(3, 2, np.zeros((0, 3), dtype=np.int64)).sq_total() == 0
 
 
 @pytest.mark.parametrize("m", [16, 32])

@@ -64,7 +64,8 @@ def gold_trace(
             f"n/gcd(r, n) = {n}/{d} is odd; the construction needs it even"
         )
     ctx = FieldCtx(2, n, modulus)
-    e = (1 << r) + 1
+    # x^(2^n) = x on F_{2^n}, so r mod n gives the same map without a 2^r
+    e = (1 << (r % n)) + 1
     half = n // 2
     vals = np.fromiter(
         (ctx.rel_trace(ctx.pow(x, e), half) for x in range(ctx.order)),
@@ -187,7 +188,7 @@ def mm_pair(
     vals = np.empty(size * size, dtype=np.int64)
     for y in range(size):
         py = pi[y]
-        qy = ctx.pow(py, 1 << i)
+        qy = ctx.pow(py, 1 << (i % m))  # Frobenius has order m: no 2^i is built
         col = np.fromiter(
             ((ctx.mul(x, py) << m) | ctx.mul(x, qy) for x in range(size)),
             dtype=np.int64,

@@ -41,7 +41,7 @@ def ddt_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
     chunk = max(1, _util.SCRATCH // max(pn, pm))
     # values and indices in the narrowest dtypes, which the XOR of
     # vec_sub_arrays keeps at p = 2; only the bincount key is int64 at every p
-    vals = table.values.astype(np.min_scalar_type(pm - 1))
+    vals = table.values
     xs = np.arange(pn, dtype=np.min_scalar_type(pn - 1))
     offsets = np.arange(chunk, dtype=np.int64)[:, None] * pm
     for lo in range(1, pn, chunk):

@@ -70,9 +70,20 @@ class PreimageDist:
 def preimage_distribution(table: FuncTable) -> PreimageDist:
     pr = table.params
     require_counts(pr.codomain_size, pr.domain_size)
-    counts = np.bincount(table.values, minlength=pr.codomain_size)
+    # np.add.at reads the values as they are, where np.bincount copies them
+    # all to int64 (and copies any read-only input, so counts is made
+    # read-only last)
+    counts = np.zeros(pr.codomain_size, dtype=np.int64)
+    np.add.at(counts, table.values, 1)
+    if int(counts.max()) < counts.size:
+        # count the counts: no array larger than counts, where sorting the
+        # nonzero ones takes a mask and two copies
+        mults = np.bincount(counts)
+        sizes = np.flatnonzero(mults[1:]) + 1
+        mults = mults[sizes]
+    else:
+        sizes, mults = np.unique(counts[counts > 0], return_counts=True)
     counts.setflags(write=False)
-    sizes, mults = np.unique(counts[counts > 0], return_counts=True)
     histogram = tuple(
         (int(s), int(c)) for s, c in zip(sizes.tolist(), mults.tolist())
     )

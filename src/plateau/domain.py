@@ -3,7 +3,7 @@
 A vector (x_0, ..., x_{k-1}) over F_p is encoded as the index sum x_i * p**i,
 so digit 0 is the least significant; for p = 2 the index is the familiar bit
 mask and vector addition is XOR.  A function is stored as the array of output
-indices in input-index order.
+indices in input-index order, in value_dtype(p^m); kernels widen at their bound.
 
 Odd-p digitwise subtraction of index arrays (vec_sub_arrays) never divides
 digit by digit.  It reads a cached digit-group table: for g digits,
@@ -157,16 +157,17 @@ def vec_sub_arrays(us: np.ndarray, vs: np.ndarray, p: int, length: int) -> np.nd
 
 
 def dot_array(b: int, vals: np.ndarray, p: int, length: int) -> np.ndarray:
-    """<b, vals[i]> for every entry, values in [0, p)."""
+    """<b, vals[i]> in [0, p) as int64, for vals of any dtype that holds b."""
     if p == 2:
         return (np.bitwise_count(vals & b) & 1).astype(np.int64)
-    acc = np.zeros_like(vals)
+    # digits in vals' dtype; their products, up to (p - 1)^2, and sums in int64
+    acc = np.zeros(np.shape(vals), dtype=np.int64)
     bb = b
     pk = 1
     for _ in range(length):
         bd = bb % p
         if bd:
-            acc += bd * ((vals // pk) % p)
+            acc += np.multiply(vals // pk % p, bd, dtype=np.int64)
         bb //= p
         pk *= p
     return acc % p
@@ -178,7 +179,7 @@ def matrix_apply(
     """Encoded L*v for every entry of vals; matrix rows index output digits."""
     if any(len(row) != in_len for row in matrix):
         raise ValueError(f"matrix rows must have {in_len} entries")
-    out = np.zeros_like(vals)
+    out = np.zeros(np.shape(vals), dtype=np.int64)
     for j, row in enumerate(matrix):
         out += dot_array(from_digits([c % p for c in row], p), vals, p, in_len) * p**j
     return out
@@ -238,29 +239,39 @@ class DomainParams:
         return self.p ** self.m
 
 
-class FuncTable:
-    """A function F_p^n -> F_p^m as the int64 array of output indices.
+def value_dtype(codomain_size: int) -> np.dtype:
+    """The one table dtype rule: the narrowest unsigned dtype holding codomain_size - 1."""
+    return np.min_scalar_type(codomain_size - 1)
 
-    The array is held read-only; equality compares shape parameters and the
-    full table.
+
+class FuncTable:
+    """A function F_p^n -> F_p^m as the read-only array of output indices in
+    value_dtype(p^m).  An integer array is validated as it is, by min() (if
+    signed) and max(); a read-only one in that dtype is kept, not copied, so
+    it must never change.  Equality compares shape parameters and the table.
     """
 
     __slots__ = ("params", "values")
 
     def __init__(self, params: DomainParams, values: Iterable[int] | np.ndarray):
-        arr = np.asarray(values, dtype=np.int64)
+        arr = values
+        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"):
+            arr = np.asarray(values, dtype=np.int64)
         if arr.shape != (params.domain_size,):
             raise ValueError(
                 f"expected {params.domain_size} values for p={params.p} n={params.n}, "
                 f"got shape {arr.shape}"
             )
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= params.codomain_size):
+        signed = arr.dtype.kind == "i"
+        if (signed and int(arr.min()) < 0) or int(arr.max()) >= params.codomain_size:
             bad = int(np.argmax((arr < 0) | (arr >= params.codomain_size)))
             raise ValueError(
                 f"value {int(arr[bad])} at input {bad} is outside [0, {params.codomain_size})"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
+        dt = value_dtype(params.codomain_size)
+        if arr.dtype != dt or arr.flags.writeable:
+            arr = arr.astype(dt)
+            arr.setflags(write=False)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "values", arr)
 

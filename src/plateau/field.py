@@ -71,7 +71,8 @@ class FieldCtx:
             raise ValueError(f"p must be prime, got {p}")
         if deg < 1:
             raise ValueError(f"degree must be >= 1, got {deg}")
-        if p ** ((deg // 2) + 1) > 1 << 22:
+        # the exponent is bounded first (p >= 2), so no huge degree builds p^deg
+        if deg // 2 + 1 > 22 or p ** (deg // 2 + 1) > 1 << 22:
             raise ValueError(f"degree {deg} over F_{p} is beyond desk scale")
         if modulus is None:
             mod = default_modulus(p, deg)

@@ -7,6 +7,8 @@ Two interchange forms share one reader:
 * binary: magic ``PLTB1``, three little-endian u32 fields p, n, m, then p^n
   entries as little-endian u8/u16/u32, the narrowest width that holds p^m - 1.
 
+A parsed table's values are in domain.value_dtype(p^m), the binary entry
+width, and a binary payload given as bytes is their storage, with no copy.
 Parse failures raise FileFormatError pointing at the offending line (text) or
 byte offset (binary).
 """
@@ -19,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .domain import DomainParams, FuncTable
+from .domain import DomainParams, FuncTable, value_dtype
 from .errors import FileFormatError
 
 MAGIC = b"PLTB1"
@@ -28,13 +30,11 @@ _PER_LINE = 16  # entries per line of the text form
 
 
 def _entry_dtype(codomain_size: int) -> np.dtype:
-    if codomain_size <= 1 << 8:
-        return np.dtype("<u1")
-    if codomain_size <= 1 << 16:
-        return np.dtype("<u2")
-    if codomain_size <= 1 << 32:
-        return np.dtype("<u4")
-    raise FileFormatError("binary format holds entries up to u32; p^m exceeds 2^32")
+    """The table's value_dtype, little-endian; the format stops at u32."""
+    dt = value_dtype(codomain_size)
+    if dt.itemsize > 4:
+        raise FileFormatError("binary format holds entries up to u32; p^m exceeds 2^32")
+    return dt.newbyteorder("<")
 
 
 def _parse_text(data: bytes, name: str) -> FuncTable:
@@ -67,32 +67,30 @@ def _parse_text(data: bytes, name: str) -> FuncTable:
             f"{name}:1: header promises {params.domain_size} entries, "
             f"but only {body} bytes follow it"
         )
-    vals = np.empty(params.domain_size, dtype=np.int64)
+    vals = np.empty(params.domain_size, dtype=value_dtype(params.codomain_size))
     filled = 0
     for lineno, line in enumerate(lines[1:], start=2):
-        toks = line.split()
-        if not toks:
-            continue
         try:
-            row = np.array([int(tok) for tok in toks], dtype=np.int64)
+            row = [int(tok) for tok in line.split()]
         except ValueError:
             raise FileFormatError(f"{name}:{lineno}: non-integer entry") from None
-        if filled + row.size > params.domain_size:
+        if filled + len(row) > params.domain_size:
             raise FileFormatError(
                 f"{name}:{lineno}: more than {params.domain_size} entries"
             )
-        bad = (row < 0) | (row >= params.codomain_size)
-        if bool(bad.any()):
-            v = int(row[np.argmax(bad)])
+        # checked as Python ints, so no entry is too large to report
+        bad = next((v for v in row if not 0 <= v < params.codomain_size), None)
+        if bad is not None:
             raise FileFormatError(
-                f"{name}:{lineno}: value {v} outside [0, {params.codomain_size})"
+                f"{name}:{lineno}: value {bad} outside [0, {params.codomain_size})"
             )
-        vals[filled : filled + row.size] = row
-        filled += row.size
+        vals[filled : filled + len(row)] = row
+        filled += len(row)
     if filled != params.domain_size:
         raise FileFormatError(
             f"{name}: expected {params.domain_size} entries, got {filled}"
         )
+    vals.setflags(write=False)
     return FuncTable(params, vals)
 
 
@@ -115,15 +113,17 @@ def _parse_binary(data: bytes, name: str) -> FuncTable:
             f"{name}: byte {start}: expected {want} payload bytes for "
             f"{params.domain_size} entries of width {dt.itemsize}, got {len(data) - start}"
         )
-    raw = np.frombuffer(data, dtype=dt, offset=start).astype(np.int64)
-    bad = raw >= params.codomain_size
-    if bool(bad.any()):
-        idx = int(np.argmax(bad))
+    # the table keeps this read-only view of the payload when data is bytes
+    raw = np.frombuffer(data, dtype=dt, offset=start)
+    try:
+        return FuncTable(params, raw)
+    except ValueError:
+        # the shape is right, so a value is out of range: name its byte
+        idx = int(np.argmax(raw >= params.codomain_size))
         raise FileFormatError(
             f"{name}: byte {start + idx * dt.itemsize}: value {int(raw[idx])} "
             f"outside [0, {params.codomain_size})"
-        )
-    return FuncTable(params, raw)
+        ) from None
 
 
 def parse_function_bytes(data: bytes, name: str = "<bytes>") -> FuncTable:
@@ -153,7 +153,7 @@ def format_text(table: FuncTable) -> str:
 def format_binary(table: FuncTable) -> bytes:
     pr = table.params
     dt = _entry_dtype(pr.codomain_size)
-    payload = table.values.astype(dt).tobytes()
+    payload = table.values.astype(dt, copy=False).tobytes()
     return MAGIC + _HEADER.pack(pr.p, pr.n, pr.m) + payload
 
 

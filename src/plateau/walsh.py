@@ -14,10 +14,10 @@ Odd-p intermediate values live in (size, p) int64 matrices of exponent
 coefficients: entry [i, k] is the coefficient of zeta^k before
 canonicalization.  The DFT along one axis (dft_p_axes) is a gather: output
 coefficient k at frequency j is the sum over positions t of input coefficient
-k - j*t (mod p), read straight from the untransposed input through a cached
-flat index.  The coefficients are exponent counts, nonnegative and totalling
-p^n, and squared-modulus coefficients are at most p^(2n+1), which
-_guard_int64 holds to _util.fits_int64; takes are sized by _util.SCRATCH.
+k - j*t (mod p), read straight from the untransposed input (at p >= 41, from
+a row written out twice).  The coefficients are exponent counts, nonnegative
+and totalling p^n, and squared-modulus coefficients are at most p^(2n+1),
+which _guard_int64 holds to _util.fits_int64; takes are sized by _util.SCRATCH.
 
 Rows and the zero column are returned as WalshVector, the one type that
 knows this layout and the p = 2 / odd-p split: callers ask it for values
@@ -39,6 +39,7 @@ import functools
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _util
 from ._util import exact_sum, fits_int64
@@ -156,18 +157,27 @@ def _sign_transform(bits: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _dft_take_index(p: int, sign: int, rest: int, rows: int, js: range) -> np.ndarray:
-    """idx[t, (r, j - js.start, k)] = (t*rest + r)*p + (k - sign*j*t) % p for
-    r < rows and j in js: where, in the flat (p, rest, p) input, output
-    coefficient k of frequency j of row r reads input coefficient
-    k - sign*j*t of position t."""
-    t, r, j, k = np.ix_(range(p), range(rows), js, range(p))
+def _dft_take_index(p: int, sign: int, rest: int, rows: int) -> np.ndarray:
+    """idx[t, (r, j, k)] = (t*rest + r)*p + (k - sign*j*t) % p for r < rows:
+    where, in the flat (p, rest, p) input, output coefficient k of frequency
+    j of row r reads input coefficient k - sign*j*t of position t."""
+    t, r, j, k = np.ix_(range(p), range(rows), range(p), range(p))
     # built in place where it can be, so that at most one temporary of the
     # index's size sits beside it
     idx = k - sign * j * t
     idx %= p
     # left writable: np.take copies a read-only index on every call
     return (idx + (t * rest + r) * p).reshape(p, -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _window_starts(p: int, sign: int) -> np.ndarray:
+    """starts[t, j] = 2p*t + p - (sign*j*t) % p: where, in p vectors of p
+    coefficients each written out twice, vector t rotated by sign*j*t begins."""
+    t, j = np.ix_(range(p), range(p))
+    starts = 2 * p * t + p - (sign * j * t) % p
+    starts.setflags(write=False)
+    return starts
 
 
 def dft_p_axes(mat: np.ndarray, p: int, axes: int, sign: int) -> np.ndarray:
@@ -178,50 +188,54 @@ def dft_p_axes(mat: np.ndarray, p: int, axes: int, sign: int) -> np.ndarray:
     Each step transforms the top base-p axis and emits it as the bottom one,
     so after `axes` steps the original order is back.  A step reads the
     C-contiguous input as a flat (p, rest, p) array (position t, row r,
-    coefficient e), with no transposed copy, through the flat index of
-    _dft_take_index: block by block over `rest` it is one take into a
-    (p, rows*frequencies*p) buffer and one np.add.reduce over t, so output
-    coefficient k of frequency j of row r is the sum over t of input
-    coefficient k - sign*j*t.  The block starting at row lo takes from the
-    view flat[lo*p:], so one index serves every block of a step.
+    coefficient e), with no transposed copy: output coefficient k of
+    frequency j of row r is the sum over t of input coefficient k - sign*j*t.
+    While p^3 <= _util.SCRATCH that is one take per block of SCRATCH // p^3
+    rows, through the cached index of _dft_take_index into a (p, rows*p*p)
+    buffer, and one np.add.reduce over t; the block at row lo takes from the
+    view flat[lo*p:], so one index serves every block of every step.  Past
+    that (p >= 41) the index would outgrow SCRATCH, so a row's p vectors are
+    written out twice, where each rotation is a window, and each set of
+    max(1, SCRATCH // p^2) frequencies is one gather of the windows at
+    _window_starts, reduced over t.  No index is built per row or set.
 
     Bounds: a step only adds nonnegative exponent counts, so every entry
     stays at most the sum of the input (p^n for walsh_row and zero_column)
     and int64 cannot overflow; _guard_int64 bounds the squared moduli taken
-    afterwards.  A take and its index hold at most max(p^2, _util.SCRATCH)
-    entries, p^2 a frequency of a row: all frequencies of max(1, SCRATCH // p^3)
-    rows while p^3 <= SCRATCH, else max(1, SCRATCH // p^2) frequencies of one
-    row; besides them a transform needs its input and two output buffers."""
+    afterwards.  A take or gather holds at most max(p^2, SCRATCH) entries;
+    besides it a transform needs its input, two output buffers and, past
+    p^3 > SCRATCH, the (p, 2p) row buffer and the (p, p) starts."""
     rest = mat.shape[0] // p
-    if p**3 <= _util.SCRATCH:
-        span, block = p, min(rest, _util.SCRATCH // p**3)  # frequencies, rows per take
-    else:
-        span, block = max(1, _util.SCRATCH // (p * p)), 1
-    # one gather buffer for every take: a fresh one per take can cost a heap
-    # trim and page faults each time
-    taken = np.empty(p * block * span * p, dtype=mat.dtype)
-
-    def takes(js: range) -> Iterator[tuple]:
-        idx = _dft_take_index(p, sign, rest, block, js)
-        for lo in range(0, rest, block):
-            width = min(block, rest - lo) * len(js) * p
-            start = (lo * p + js.start) * p
-            yield lo * p, idx[:, :width], taken[: p * width].reshape(p, width), start, width
-
-    # one plan for every step; split frequencies are replanned: their indices total p^3
-    held = list(takes(range(p))) if span == p else None
     # the steps alternate between two output buffers
     flat = mat.reshape(-1)
     spare = [np.empty_like(flat) for _ in range(min(axes, 2))]
-    for step in range(axes):
-        out = spare[step % 2]
-        for j0 in range(0, p, span):
-            for off, part, buf, start, width in held or takes(range(j0, min(j0 + span, p))):
+    if p**3 <= _util.SCRATCH:
+        block = min(rest, _util.SCRATCH // p**3)
+        idx = _dft_take_index(p, sign, rest, block)
+        # one gather buffer for every take: a fresh one per take can cost a
+        # heap trim and page faults each time
+        taken = np.empty(idx.size, dtype=mat.dtype)
+        for step in range(axes):
+            out = spare[step % 2]
+            for lo in range(0, rest, block):
+                width = min(block, rest - lo) * p * p
+                buf = taken[: p * width].reshape(p, width)
                 # every index is in range; mode="clip" only skips the
                 # buffered copy that out= costs under mode="raise"
-                flat[off:].take(part, out=buf, mode="clip")
-                np.add.reduce(buf, axis=0, out=out[start : start + width])
-        flat = out
+                flat[lo * p :].take(idx[:, :width], out=buf, mode="clip")
+                np.add.reduce(buf, axis=0, out=out[lo * p * p : lo * p * p + width])
+            flat = out
+        return flat.reshape(-1, p)
+    span, starts = max(1, _util.SCRATCH // (p * p)), _window_starts(p, sign)
+    twice = np.empty((p, 2, p), dtype=mat.dtype)
+    windows = sliding_window_view(twice.reshape(-1), p)
+    for step in range(axes):
+        src, out = flat.reshape(p, rest, p), spare[step % 2].reshape(rest, p, p)
+        for r in range(rest):
+            twice[:] = src[:, r, None]
+            for js in (slice(j0, j0 + span) for j0 in range(0, p, span)):
+                np.add.reduce(windows[starts[:, js]], axis=0, out=out[r, js])
+        flat = out.reshape(-1)
     return flat.reshape(-1, p)
 
 
@@ -370,15 +384,15 @@ def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
     """Batched transformed rows for p=2: (len(bs), 2^n) in _p2_dtype(n).
 
     Entries are bounded by 2^n in magnitude, which _p2_dtype turns into a
-    dtype.  The masks and values are ANDed in the narrowest unsigned dtype
-    that holds 2^m - 1, so the (len(bs), 2^n) temporary is 1 to 8 bytes an
-    entry instead of 8.
+    dtype.  The masks and values are ANDed in the table's dtype, the
+    narrowest unsigned one that holds 2^m - 1, so the (len(bs), 2^n)
+    temporary is 1 to 8 bytes an entry instead of 8.
     """
     pr = table.params
     if pr.p != 2:
         raise ValueError("batched sign rows are a p=2 path")
-    word = np.min_scalar_type(pr.codomain_size - 1)
-    masked = table.values.astype(word)[None, :] & bs.astype(word)[:, None]
+    vals = table.values
+    masked = vals[None, :] & bs.astype(vals.dtype)[:, None]
     fb = np.bitwise_count(masked) & np.uint8(1)
     return _sign_transform(fb, pr.n)
 

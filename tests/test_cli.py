@@ -1,4 +1,6 @@
+import contextlib
 import importlib.metadata
+import io
 import json
 import re
 import shutil
@@ -12,13 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plateau
 from plateau import cli, distribution
 from plateau.cli import main
 from plateau.constructions import monomial
 from plateau.domain import DomainParams, FuncTable
-from plateau.fileio import MAGIC, parse_function_file, write_function_file
+from plateau.fileio import MAGIC, format_text, parse_function_file, write_function_file
 from plateau.walsh import zero_column
 
 
@@ -257,6 +261,137 @@ def test_bad_headers_exit_at_once(tmp_path, capsys, blob):
     code, out, err = run(capsys, "analyze", str(path))
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def exit_files(tmp_path_factory):
+    """Paths, by name, for the exit-code property: a good (2, 4, 4) table and
+    a 4 x 4 matrix, and files that each break one rule of the readers."""
+    d = tmp_path_factory.mktemp("exit-codes")
+    wide_m = FuncTable(DomainParams(2, 4, 40), [1 << 39] * 16)
+    blobs = {
+        "good": format_text(monomial(2, 4, 3)).encode(),
+        "matrix": b"1 0 0 0\n0 1 0 0\n",
+        "two-fields": b"2 4\n" + b"0 " * 16,
+        "not-int": b"2 x 4\n0\n",
+        "composite": b"4 2 2\n" + b"0 " * 16,
+        "zero-n": b"2 0 1\n0\n",
+        "past-2^62": b"2 62 1\n0 1\n",
+        "big-prime": b"618970019642690137449562111 1 1\n0\n",
+        "short-body": b"2 3 1\n0 1 0\n",
+        "outside": b"2 2 1\n0 1 2 0\n",
+        "huge-entry": b"2 2 1\n0 1 0 99999999999999999999\n",
+        "not-ascii": b"2 2 1\xff\n0 1 0 1\n",
+        "binary-p9": MAGIC + struct.pack("<III", 9, 2, 2) + bytes(81),
+        "binary-truncated": MAGIC + b"\x02\x00",
+        "binary-n-2^32-1": MAGIC + struct.pack("<III", 3, 2**32 - 1, 1),
+        "empty": b"",
+        "bad-matrix": b"1 x\n",
+        "blank-matrix": b"\n\n",
+        "count-budget": format_text(wide_m).encode(),
+    }
+    paths = {"missing": d / "missing", "dir": d}
+    for name, blob in blobs.items():
+        paths[name] = d / name
+        paths[name].write_bytes(blob)
+    return {name: str(path) for name, path in paths.items()}
+
+
+_BAD_TABLES = ("two-fields", "not-int", "composite", "zero-n", "past-2^62", "big-prime",
+               "short-body", "outside", "huge-entry", "not-ascii", "binary-p9", "binary-truncated",
+               "binary-n-2^32-1", "empty", "matrix", "missing", "dir")
+
+
+def _usage_flag(draw, f):
+    base = draw(st.sampled_from([
+        ["analyze", f["good"]], ["analyze", f["good"], "--all"], ["spectrum", f["good"]],
+        ["check-theorem", "--paper-ref", "platdto1", f["good"]],
+        ["construct", "monomial", "p=2", "n=3", "d=3"],
+    ]))
+    bad = draw(st.sampled_from([
+        ["--bogus"], ["--max-profile-log", "-1"], ["--max-profile-log", "x"],
+        ["--max-table-log", ""], ["--max-table-log", "-3"], ["--max-profile-log"], ["--binary"],
+    ]))
+    if draw(st.booleans()):
+        base = [draw(st.sampled_from(["analyse", "check", "--all", ""]))] + base[1:]
+    pos = draw(st.integers(0, len(base)))
+    return base[:pos] + bad + base[pos:]
+
+
+def _huge_degree(draw, f):
+    """A field degree far past desk scale, refused before any power of it."""
+    n = f"n={draw(st.integers(10**6, 10**9))}"
+    return draw(st.sampled_from([["construct", "monomial", "p=2", n, "d=3"],
+                                 ["construct", "gold-trace", n, "r=1", "--force"]]))
+
+
+def _bad_file_argument(draw, f):
+    bad_ref = st.sampled_from(
+        [f["good"], "@" + f["missing"], "@" + f["dir"], "@", ""]
+        + ["@" + f[name] for name in _BAD_TABLES]
+    )
+    good_ref = st.just("@" + f["good"])
+    keys = draw(st.sampled_from([("pi", "phi"), ("F", "L")]))
+    bad_at = draw(st.sampled_from(keys))
+    refs = {k: draw(bad_ref if k == bad_at else good_ref) for k in keys}
+    if keys == ("F", "L") and bad_at == "F":
+        refs["L"] = "@" + f["matrix"]
+    if keys == ("F", "L") and bad_at == "L":
+        bad_matrices = ("bad-matrix", "blank-matrix", "missing", "dir")
+        refs["L"] = draw(st.sampled_from(["@" + f[k] for k in bad_matrices] + [f["matrix"]]))
+    args = [f"{k}={v}" for k, v in refs.items()]
+    if keys == ("F", "L"):
+        head = ["construct", "compose"]
+    else:
+        tag = draw(st.sampled_from(["mm1", "mm2"]))
+        head = draw(st.sampled_from([["construct", tag], ["check-theorem", "--paper-ref", tag]]))
+        args = args if tag == "mm1" else ["i=0", args[0]]
+    extra = draw(st.sampled_from([[], ["=x"], ["zz=1"], [args[-1]]]))
+    return head + args + extra
+
+
+def _bad_header(draw, f):
+    t = f[draw(st.sampled_from(_BAD_TABLES))]
+    return draw(st.sampled_from([
+        ["analyze", t], ["analyze", t, "--all"], ["spectrum", t],
+        ["check-theorem", "--paper-ref", draw(st.sampled_from(list(cli.CHECKS))), t],
+        ["construct", "compose", f"F=@{t}", "L=@" + f["matrix"]],
+    ]))
+
+
+def _over_budget(draw, f):
+    g = f["good"]
+    k = st.integers(0, 7).map(str)
+    return draw(st.sampled_from([
+        ["analyze", g, "--all", "--max-profile-log", draw(k)],
+        ["analyze", g, "--all", "--max-table-log", draw(k), "--max-profile-log", "100000000000"],
+        ["analyze", g, "--ddt", "--max-table-log", draw(k)],
+        ["spectrum", g, "--max-profile-log", draw(k)],
+        ["check-theorem", "--paper-ref", draw(st.sampled_from(list(cli.CHECKS))), g,
+         "--max-profile-log", draw(k), "--max-table-log", draw(k)],
+        ["analyze", f["count-budget"], draw(st.sampled_from(["--all", "--zero-column-only"]))],
+    ]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_error_path_exits_2_or_3(exit_files, data):
+    """Generated argument vectors, each with one error: a bad flag or
+    subcommand, a huge field degree, a bad key=@FILE argument, a bad table
+    header or body, or work over a budget (the (2, 4, 4) table needs K >= 8
+    for both).  Usage errors
+    exit 2 and over-budget work exits 3, in-process; none exits 1 (a failed
+    check) or raises."""
+    kind, want = data.draw(st.sampled_from([
+        (_usage_flag, 2), (_huge_degree, 2), (_bad_file_argument, 2), (_bad_header, 2),
+        (_over_budget, 3),
+    ]))
+    argv = kind(data.draw, exit_files)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == want, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_construct_monomial_round_trip(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import time
 from math import gcd
 
 import numpy as np
@@ -302,3 +303,22 @@ def test_check_mm_profile_follows_budget():
     assert check_mm2([0, 1, 2, 3], 1).details["profile"] is not None
     res = check_mm2([0, 1, 2, 3], 1, opts=low)  # 2^8 > 2^6
     assert res.status == "pass" and res.details["profile"] is None
+
+
+def test_huge_frobenius_exponents_reduce_mod_the_degree():
+    """x^(2^r) depends on r mod n in F_{2^n}: r = 10^4 + 2 and i = 10^4 + 1
+    give the tables of r mod 8 = 2 and i mod 3 = 2, and no 10^4-bit power of
+    2 is built or raised to (which took seconds per table)."""
+    start = time.perf_counter()
+    assert gold_trace(8, 10**4 + 2) == gold_trace(8, 2)
+    pi = [3, 0, 6, 1, 7, 2, 5, 4]
+    assert mm_pair(pi, 10**4 + 1) == mm_pair(pi, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_huge_degree_is_refused_before_any_power():
+    """Degree 10^9 once built 2^(5 * 10^8 + 1), 62 MB, for 2.4 s."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="beyond desk scale"):
+        FieldCtx(2, 10**9)
+    assert time.perf_counter() - start < 0.5

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from plateau import _util
+from plateau import _util, walsh
 from plateau.cyclotomic import CycInt
 from plateau.distribution import preimage_distribution
 from plateau.domain import DomainParams, FuncTable, dot_array
@@ -432,6 +432,23 @@ def test_large_p_dft_stays_in_scratch():
         for i in picks:
             b, a = (i, 0) if fixed == 0 else (fixed, i)
             assert tuple(coords[i]) == o.counts_canonical(o.walsh_counts(p, 1, 1, vals, b, a), p)
+
+
+def test_large_p_dft_builds_indices_once():
+    """At p = 211 every frequency set gathers windows at one cached (p, p)
+    table of starts: a whole random row matches walsh_point, the transforms
+    build at most one table per sign, and the per-call take index of small p
+    is never built."""
+    p = 211
+    tbl = random_table(p, 1, 1, 212)
+    walsh._window_starts.cache_clear()
+    walsh._dft_take_index.cache_clear()
+    for b in (5, 6):
+        got = walsh_row(tbl, b).values()
+        assert got == [walsh_point(tbl, b, a) for a in range(p)]
+    zero_column(preimage_distribution(tbl))
+    assert walsh._window_starts.cache_info().misses == 2  # signs -1 and +1
+    assert walsh._dft_take_index.cache_info().misses == 0
 
 
 def fourth_power_data():

@@ -20,8 +20,9 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 # entries one kernel step holds at once: a block of difference rows, one DFT
-# gather and its index, one slice of squared moduli, one digit-group table;
-# 2^16 keeps a step's temporaries inside a core's L2 cache
+# gather and its index, one slice of squared moduli, one digit-group table,
+# one operand of a p = 2 transform butterfly (whose cache block is 4 * SCRATCH
+# entries); 2^16 keeps a step's temporaries inside a core's L2 cache
 SCRATCH = 1 << 16
 
 # entries of one batch of spectrum rows (profile, fourth moment): at most

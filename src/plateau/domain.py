@@ -248,15 +248,18 @@ class FuncTable:
     """A function F_p^n -> F_p^m as the read-only array of output indices in
     value_dtype(p^m).  An integer array is validated as it is, by min() (if
     signed) and max(); a read-only one in that dtype is kept, not copied, so
-    it must never change.  Equality compares shape parameters and the table.
+    it must never change.  Anything numpy does not hold as 64-bit integers
+    (floats, Python ints past 64 bits) is refused with ValueError.  Equality
+    compares shape parameters and the table.
     """
 
     __slots__ = ("params", "values")
 
     def __init__(self, params: DomainParams, values: Iterable[int] | np.ndarray):
-        arr = values
-        if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"):
-            arr = np.asarray(values, dtype=np.int64)
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "iu":
+            # floats would truncate; an object array holds ints past 64 bits
+            raise ValueError(f"table values must be 64-bit integers, got dtype {arr.dtype}")
         if arr.shape != (params.domain_size,):
             raise ValueError(
                 f"expected {params.domain_size} values for p={params.p} n={params.n}, "

@@ -7,8 +7,14 @@ one size-p DFT per base-p axis for odd p.
 
 Every p = 2 transform here is of +-1 sign rows of length 2^n or of preimage
 counts totalling 2^n, so every value, intermediate ones included, has
-magnitude at most 2^n.  One rule (_p2_dtype) turns that bound into the
-narrowest dtype that holds it.
+magnitude at most 2^n.  One rule (_p2_dtype, from signed_dtype) turns that
+bound into the narrowest dtype that holds it; preimage_distribution keeps the
+counts in that dtype, so the zero column is transformed without a cast.
+The transform (fwht_last_axis) runs every stage that fits in a block of
+4 * _util.SCRATCH entries block by block, then the longer stages in
+quarter-block chunks, through one half-block scratch buffer.  Blocking only
+reorders butterflies, each still writing a value of a partial transform, so
+the 2^n bound holds.
 
 Odd-p intermediate values live in (size, p) int64 matrices of exponent
 coefficients: entry [i, k] is the coefficient of zeta^k before
@@ -71,10 +77,17 @@ def walsh_point(table: FuncTable, b: int, a: int) -> "int | CycInt":
 # ---------------------------------------------------------------------------
 # transform kernels
 
-# fwht_last_axis: stages with stride h below _SHORT_STRIDE run block-major over
-# blocks of _BLOCK entries, which keeps each block in cache
+# fwht_last_axis: in-block stages of stride h < _SHORT_STRIDE run along the
+# quadruples of one offset at a time, not an inner loop of length h each
 _SHORT_STRIDE = 8
-_BLOCK = 1 << 12
+
+
+def signed_dtype(bound: int) -> np.dtype:
+    """Narrowest of int16, int32, int64 holding magnitudes up to `bound`."""
+    for dt in map(np.dtype, (np.int16, np.int32, np.int64)):
+        if bound <= np.iinfo(dt).max:
+            return dt
+    raise BudgetError(f"values of magnitude up to {bound} exceed the int64 budget")
 
 
 def _p2_dtype(n: int) -> np.dtype:
@@ -85,24 +98,40 @@ def _p2_dtype(n: int) -> np.dtype:
     entries whose magnitudes total 2^n, so its magnitude is at most 2^n.
     Hence int16 while n <= 14, int32 while n <= 30, int64 while n <= 62.
     """
-    if n <= 14:
-        return np.dtype(np.int16)
-    if n <= 30:
-        return np.dtype(np.int32)
-    if n <= 62:
-        return np.dtype(np.int64)
-    raise BudgetError(f"p = 2 transforms at n={n} exceed the int64 budget")
+    return signed_dtype(1 << n)
+
+
+def _butterfly4(quad: np.ndarray, pair: np.ndarray) -> None:
+    """Radix-4 butterfly in place: the views (a, b, c, d) stacked in quad
+    become (a+b+c+d, a-b+c-d, a+b-c-d, a-b-c+d), through the two scratch
+    arrays stacked in pair.  C order, so that a transposed view is walked
+    along its last (long) axis."""
+    a, b, c, d = quad
+    s, t = pair
+    np.add(a, b, out=s, order="C")
+    np.subtract(a, b, out=t, order="C")
+    np.add(c, d, out=a, order="C")
+    np.subtract(c, d, out=b, order="C")
+    np.subtract(s, a, out=c, order="C")
+    np.subtract(t, b, out=d, order="C")
+    np.add(s, a, out=a, order="C")
+    np.add(t, b, out=b, order="C")
 
 
 def fwht_last_axis(arr: np.ndarray) -> np.ndarray:
     """In-place Walsh-Hadamard transform along the last axis (length 2^k).
 
-    Radix-4 butterflies: each stage maps the quadruple (a, b, c, d) at
-    stride h to (a+b+c+d, a-b+c-d, a+b-c-d, a-b-c+d), two radix-2 stages at
-    once, written back through np.add/np.subtract with out=.  When k is odd
-    one radix-2 stage runs first.  Every temporary is a value of some radix-2
-    stage, so the arithmetic stays within the input's dtype whenever the
-    final values do (the p = 2 bound is in _p2_dtype).  `arr` must be
+    Radix-4 stages: the stage at stride h maps each quadruple (a, b, c, d)
+    at stride h to (a+b+c+d, a-b+c-d, a+b-c-d, a-b-c+d) and mixes only runs
+    of 4h entries (its span), never crossing a row.  When k is odd one
+    radix-2 stage runs first.  With B = 4 * _util.SCRATCH rounded down to a
+    power of two, each block of B entries (whole rows when rows are shorter)
+    runs every stage of span <= B while it is in cache; each longer stage
+    then passes over the array in chunks of B/4 entries per quadruple
+    member.  One scratch buffer of B/2 entries serves both phases.  Blocking
+    only reorders butterflies, each writing a value of a partial transform,
+    so the arithmetic stays within the input's dtype whenever the final
+    values do (the p = 2 bound is in _p2_dtype).  `arr` must be
     C-contiguous, so that the stage views write through to it.
     """
     size = arr.shape[-1]
@@ -110,40 +139,32 @@ def fwht_last_axis(arr: np.ndarray) -> np.ndarray:
         raise ValueError(f"transform length {size} is not a power of two")
     if not arr.flags.c_contiguous:
         raise ValueError("fwht_last_axis needs a C-contiguous array")
-    # a stage only mixes entries within aligned runs of 4h, which never cross
-    # a row boundary, so the stages can work on the flat buffer
     flat = arr.reshape(-1)
-    scratch = np.empty(flat.size // 2, dtype=arr.dtype)
-    h = 1
-    if (size.bit_length() - 1) % 2:
-        a, b = flat[0::2], flat[1::2]
-        np.subtract(a, b, out=scratch)
-        np.add(a, b, out=a)
-        np.copyto(b, scratch)
-        h = 2
-    quarter = flat.size // 4
+    block = 1 << (_util.SCRATCH.bit_length() + 1)
+    scratch = np.empty(min(block, flat.size) // 2, dtype=arr.dtype)
+    odd = (size.bit_length() - 1) % 2
+    # strides of the radix-4 stages whose span fits in a block
+    inner, h = [], 1 + odd
+    while 4 * h <= min(size, block):
+        inner.append(h)
+        h *= 4
+    for lo in range(0, flat.size, block):
+        blk = flat[lo : lo + block]
+        if odd:
+            a, b, t = blk[0::2], blk[1::2], scratch[: blk.size // 2]
+            np.subtract(a, b, out=t)
+            np.add(a, b, out=a)
+            np.copyto(b, t)
+        for hs in inner:
+            v = blk.reshape(-1, 4, hs)
+            v = v.transpose(1, 2, 0) if hs < _SHORT_STRIDE else v.swapaxes(0, 1)
+            _butterfly4(v, scratch[: blk.size // 2].reshape(2, *v.shape[1:]))
+    quarter = block // 4
     while h < size:
-        if h < _SHORT_STRIDE:
-            # run along the quadruples of one offset at a time, block by
-            # block, instead of one inner loop of length h per quadruple
-            width = min(size, _BLOCK)
-            v = flat.reshape(-1, width // (4 * h), 4, h).swapaxes(1, 3)
-            a, b, c, d = v[:, :, 0], v[:, :, 1], v[:, :, 2], v[:, :, 3]
-            order = "C"
-        else:
-            v = flat.reshape(-1, 4, h)
-            a, b, c, d = v[:, 0], v[:, 1], v[:, 2], v[:, 3]
-            order = "K"
-        s = scratch[:quarter].reshape(a.shape)
-        t = scratch[quarter:].reshape(a.shape)
-        np.add(a, b, out=s, order=order)
-        np.subtract(a, b, out=t, order=order)
-        np.add(c, d, out=a, order=order)
-        np.subtract(c, d, out=b, order=order)
-        np.subtract(s, a, out=c, order=order)
-        np.subtract(t, b, out=d, order=order)
-        np.add(s, a, out=a, order=order)
-        np.add(t, b, out=b, order=order)
+        v = flat.reshape(-1, 4, h)
+        for g in range(v.shape[0]):
+            for lo in range(0, h, quarter):
+                _butterfly4(v[g, :, lo : lo + quarter], scratch.reshape(2, quarter))
         h *= 4
     return arr
 
@@ -401,7 +422,8 @@ def zero_column(dist: "PreimageDist") -> WalshVector:
     """W_F(b, 0) for all b from the preimage counts of F: O(m * p^(m+1)).
 
     For p = 2 the transform runs in _p2_dtype(n): the counts total 2^n, which
-    bounds every value of the transform.
+    bounds every value of the transform, and preimage_distribution already
+    holds them in that dtype, so astype makes one copy and no cast.
     """
     pr = dist.params
     p, n, m = pr.p, pr.n, pr.m

@@ -39,7 +39,7 @@ def wide_file(tmp_path):
     p^3 >= 2^62, so its odd-p transforms cannot run in int64."""
     p = 1664543
     path = tmp_path / "wide.bin"
-    write_function_file(FuncTable(DomainParams(p, 1, 1), np.zeros(p)), path, binary=True)
+    write_function_file(FuncTable(DomainParams(p, 1, 1), np.zeros(p, dtype=np.int64)), path, binary=True)
     return str(path)
 
 
@@ -345,7 +345,8 @@ def _bad_file_argument(draw, f):
     else:
         tag = draw(st.sampled_from(["mm1", "mm2"]))
         head = draw(st.sampled_from([["construct", tag], ["check-theorem", "--paper-ref", tag]]))
-        args = args if tag == "mm1" else ["i=0", args[0]]
+        # mm2 reads pi alone, so it is given the bad reference as pi
+        args = args if tag == "mm1" else ["i=0", f"pi={refs[bad_at]}"]
     extra = draw(st.sampled_from([[], ["=x"], ["zz=1"], [args[-1]]]))
     return head + args + extra
 

@@ -136,6 +136,16 @@ def test_functable_validation_and_immutability():
     assert len(tbl) == 8
 
 
+def test_functable_refuses_non_integer_values():
+    """Floats are refused, not truncated ([0.5, 1.7, ...] would build
+    [0, 1, ...]), even integral ones; a Python int past 64 bits is a
+    ValueError, not numpy's OverflowError."""
+    pr = DomainParams(2, 2, 2)
+    for values in ([0.5, 1.7, 2.2, 3.9], np.zeros(4), [0, 1, 2, 1 << 64], [0, 1, 2, -(1 << 63) - 1]):
+        with pytest.raises(ValueError, match="64-bit integers"):
+            FuncTable(pr, values)
+
+
 def test_functable_equality_and_hash():
     pr = DomainParams(2, 2, 2)
     a = FuncTable(pr, [0, 1, 2, 3])

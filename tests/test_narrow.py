@@ -27,7 +27,7 @@ from plateau.domain import (
 )
 from plateau.fileio import format_binary, parse_function_bytes
 from plateau.report import AnalysisOptions, run_analysis
-from plateau.walsh import walsh_point, walsh_row
+from plateau.walsh import _p2_dtype, walsh_point, walsh_row, zero_column
 
 
 def random_table(p, n, m, seed):
@@ -91,9 +91,11 @@ def test_binary_parse_is_a_view_of_the_payload():
 
 def test_parse_and_counts_stay_within_a_multiple_of_the_payload():
     """A (2, 20, 20) binary table, a 4 MiB u4 payload: the parse allocates
-    nothing of its size, and with the preimage counts the traced peak stays
-    under 2.5 payloads, the int64 counts being 2.  Widening the values to
-    int64 at parse took 6.9, and an np.bincount of the narrow values 4."""
+    nothing of its size, and the traced peak of the preimage counts stays
+    near one count array, int32 counts of the payload's size.  Widening the
+    values to int64 at parse took 6.9 payloads, an np.bincount of the narrow
+    values 4, int64 counts 2, and an np.bincount of int32 counts for the
+    fiber histogram 3."""
     rng = np.random.default_rng(4)
     pr = DomainParams(2, 20, 20)
     data = format_binary(FuncTable(pr, rng.integers(1 << 20, size=1 << 20)))
@@ -102,13 +104,61 @@ def test_parse_and_counts_stay_within_a_multiple_of_the_payload():
     try:
         tbl = parse_function_bytes(data)
         parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         dist = preimage_distribution(tbl)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert parse_peak < payload // 16
-    assert peak < 2.5 * payload
+    assert dist.counts.nbytes == payload
+    assert peak < 1.1 * payload
     assert dist.image_size == int(np.count_nonzero(dist.counts))
+
+
+@pytest.mark.parametrize("p, n", [(2, 14), (2, 15), (3, 9), (3, 10), (5, 6), (5, 7)])
+def test_counts_dtype_holds_p_to_the_n(p, n):
+    """Counts are held in the narrowest signed dtype that holds p^n, the
+    largest a count can be, which a constant table reaches: int16 up to
+    2^14, 3^9 and 5^6, int32 one step past; at p = 2 it is the zero column's
+    _p2_dtype(n), so the transform needs no cast."""
+    dist = preimage_distribution(FuncTable(DomainParams(p, n, 1), np.zeros(p**n, dtype=np.uint8)))
+    want = np.int16 if p**n < 1 << 15 else np.int32
+    assert dist.counts.dtype == want
+    assert dist.count_of(0) == p**n and dist.histogram == ((p**n, 1),)
+    if p == 2:
+        assert dist.counts.dtype == _p2_dtype(n) == zero_column(dist).data.dtype
+
+
+def int64_bincount_histogram(tbl):
+    """The fiber histogram by np.bincount of int64 values and counts."""
+    counts = np.bincount(tbl.values.astype(np.int64), minlength=tbl.params.codomain_size)
+    mults = np.bincount(counts)
+    return tuple((s, int(mults[s])) for s in range(1, mults.size) if mults[s])
+
+
+@pytest.mark.parametrize(
+    "kind, p, n, m",
+    [
+        # largest count below p^m: the counts are counted
+        ("random", 2, 4, 4), ("random", 3, 4, 3), ("constant", 3, 3, 4),
+        ("permutation", 2, 10, 10), ("permutation", 5, 3, 3),
+        # largest count at least p^m: the nonzero counts are sorted
+        ("random", 2, 10, 3), ("constant", 2, 6, 2), ("constant", 5, 2, 1),
+    ],
+)
+def test_histogram_matches_int64_bincount(kind, p, n, m):
+    pr = DomainParams(p, n, m)
+    rng = np.random.default_rng(7)
+    if kind == "random":
+        vals = rng.integers(pr.codomain_size, size=pr.domain_size)
+    elif kind == "constant":
+        vals = np.full(pr.domain_size, pr.codomain_size - 1)
+    else:
+        vals = rng.permutation(pr.domain_size)
+    tbl = FuncTable(pr, vals)
+    dist = preimage_distribution(tbl)
+    assert dist.histogram == int64_bincount_histogram(tbl)
+    assert dist.image_size == sum(c for _, c in dist.histogram)
 
 
 @pytest.mark.parametrize("p, n, m", [(2, 3, 1), (2, 4, 4), (3, 3, 2), (5, 2, 3), (2, 8, 2)])

@@ -125,6 +125,16 @@ def sylvester_hadamard(k):
     return h
 
 
+def hadamard_product(x, k):
+    """x @ H_(2^k) in int64, 256 columns of H at a time."""
+    h = sylvester_hadamard(k)
+    want = np.empty_like(x, dtype=np.int64)
+    step = 256
+    for lo in range(0, 1 << k, step):
+        want[..., lo : lo + step] = x @ h[lo : lo + step].T.astype(np.int64)
+    return want
+
+
 @pytest.mark.parametrize("k", range(13))
 def test_fwht_matches_sylvester_hadamard_direct_sum(k):
     """Every length 2^0 ... 2^12 (odd and even log2), 1-D and batched, in
@@ -133,11 +143,7 @@ def test_fwht_matches_sylvester_hadamard_direct_sum(k):
     # |entries| <= 7, so every output is at most 7 * 2^12 < 2^15 and even
     # the int16 transform is exact
     x = rng.integers(-7, 8, size=(3, 1 << k))
-    h = sylvester_hadamard(k)
-    want = np.empty_like(x)
-    step = 256
-    for lo in range(0, 1 << k, step):
-        want[:, lo : lo + step] = x @ h[lo : lo + step].T.astype(np.int64)
+    want = hadamard_product(x, k)
     for dtype in (np.int16, np.int32, np.int64):
         batch = fwht_last_axis(x.astype(dtype))
         assert batch.dtype == dtype
@@ -148,8 +154,9 @@ def test_fwht_matches_sylvester_hadamard_direct_sum(k):
 
 @pytest.mark.parametrize("k", [13, 14, 15])
 def test_fwht_beyond_one_block_matches_direct_sums(k):
-    """Lengths past the 2^12 block of the short-stride stages: sampled
-    outputs against the direct sum, and the transform applied twice."""
+    """Lengths 2^13 to 2^15, past the Sylvester products (still one block at
+    the default SCRATCH; the test below shrinks it): sampled outputs
+    against the direct sum, and the transform applied twice."""
     rng = np.random.default_rng(200 + k)
     x = rng.integers(-7, 8, size=(2, 1 << k))
     got = fwht_last_axis(x.astype(np.int32))
@@ -158,6 +165,42 @@ def test_fwht_beyond_one_block_matches_direct_sums(k):
         signs = 1 - 2 * (np.bitwise_count(js & i) & 1).astype(np.int64)
         assert np.array_equal(got[:, i], x @ signs), (k, i)
     assert np.array_equal(fwht_last_axis(got), x << k)
+
+
+@pytest.mark.parametrize("scratch", [1, 4, 64])
+def test_fwht_across_blocks_matches_sylvester_hadamard(monkeypatch, scratch):
+    """With SCRATCH at 1, 4 and 64 the blocks hold 4, 16 and 256 entries, so
+    the cross-block stages run at every k past that: odd and even log2, rows
+    shorter and longer than a block, 1-D, batched and a batch of 255 rows
+    (the last one of the (2, 12, 12) profile, which leaves a short last block
+    of whole rows), in every dtype the p = 2 paths use."""
+    monkeypatch.setattr(_util, "SCRATCH", scratch)
+    rng = np.random.default_rng(300 + scratch)
+    # chunks of SCRATCH entries: at SCRATCH = 1, lengths past 2^9 only cost time
+    for k in range(10 if scratch == 1 else 13):
+        for rows in (None, 3, 255) if k <= 6 else (None, 3):
+            shape = 1 << k if rows is None else (rows, 1 << k)
+            x = rng.integers(-7, 8, size=shape)
+            want = hadamard_product(x, k)
+            for dtype in (np.int16, np.int32, np.int64):
+                got = fwht_last_axis(x.astype(dtype))
+                assert got.dtype == dtype
+                assert np.array_equal(got, want), (k, rows, dtype)
+
+
+def test_fwht_scratch_is_bounded_by_the_block():
+    """One transform of 2^20 int32 entries allocates its half-block scratch
+    (2 * SCRATCH entries, 512 KiB) and little else, where a scratch of half
+    the array took 2 MiB."""
+    x = np.ones(1 << 20, dtype=np.int32)
+    tracemalloc.start()
+    try:
+        fwht_last_axis(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x[0] == 1 << 20 and not np.any(x[1:])
+    assert peak < 4 * _util.SCRATCH * x.itemsize
 
 
 def test_fwht_rejects_bad_input():

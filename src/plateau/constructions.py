@@ -8,21 +8,37 @@ from the emitted table by the analysis modules, never trusted.
 
 Product domains F_{2^m} x F_{2^m} are flattened to the index x * 2^m + y
 (x in the high digits); output pairs follow the same convention.
+
+The field builders have no per-element loop: each is a few whole-array
+FieldCtx calls (digit planes, multiplication by x as a shift and fold,
+Frobenius powers as one linear map; see field), run on blocks of at most
+_util.SCRATCH inputs and written straight into the table's value_dtype(p^m),
+so a build holds the table plus O(deg * SCRATCH) bytes.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _util
 from .distribution import ab_walsh_consequences
-from .domain import DomainParams, FuncTable, matrix_apply, matrix_rank
+from .domain import DomainParams, FuncTable, matrix_apply, matrix_rank, value_dtype
 from .errors import ConstructionError
 from .field import FieldCtx
 from .report import Analysis, AnalysisOptions, Withheld, require_budget
 from .verdict import CheckResult
+
+
+def _tabulate(pr: DomainParams, block: Callable[[np.ndarray], np.ndarray]) -> FuncTable:
+    """The table of block(xs) over blocks xs of _util.SCRATCH inputs, in value_dtype(p^m)."""
+    vals = np.empty(pr.domain_size, dtype=value_dtype(pr.codomain_size))
+    for lo in range(0, vals.size, _util.SCRATCH):
+        vals[lo : lo + _util.SCRATCH] = block(np.arange(lo, min(lo + _util.SCRATCH, vals.size)))
+    vals.setflags(write=False)
+    return FuncTable(pr, vals)
 
 
 def monomial(
@@ -32,10 +48,7 @@ def monomial(
     if d < 0:
         raise ConstructionError(f"exponent must be nonnegative, got {d}")
     ctx = FieldCtx(p, n, modulus)
-    vals = np.fromiter(
-        (ctx.pow(x, d) for x in range(ctx.order)), dtype=np.int64, count=ctx.order
-    )
-    return FuncTable(DomainParams(p, n, n), vals)
+    return _tabulate(DomainParams(p, n, n), lambda xs: ctx.pow(xs, d))
 
 
 def gold_trace(
@@ -67,23 +80,23 @@ def gold_trace(
     # x^(2^n) = x on F_{2^n}, so r mod n gives the same map without a 2^r
     e = (1 << (r % n)) + 1
     half = n // 2
-    vals = np.fromiter(
-        (ctx.rel_trace(ctx.pow(x, e), half) for x in range(ctx.order)),
-        dtype=np.int64,
-        count=ctx.order,
-    )
-    return FuncTable(DomainParams(2, n, half), vals)
+    return _tabulate(DomainParams(2, n, half), lambda xs: ctx.rel_trace(ctx.pow(xs, e), half))
 
 
-def _as_table(vals: Sequence[int], m: int, name: str) -> list[int]:
+def _as_table(vals: Sequence[int], m: Optional[int], name: str) -> tuple[list[int], int]:
+    """vals as a list of 2^m entries below 2^m, and m (by default from the length)."""
     out = [int(v) for v in vals]
+    if m is None:
+        m = len(out).bit_length() - 1
+        if len(out) != 1 << m:
+            raise ConstructionError(f"{name} length {len(out)} is not a power of 2")
     size = 1 << m
     if len(out) != size:
         raise ConstructionError(f"{name} must have {size} entries, got {len(out)}")
     for idx, v in enumerate(out):
         if not 0 <= v < size:
             raise ConstructionError(f"{name}[{idx}] = {v} outside [0, {size})")
-    return out
+    return out, m
 
 
 def mm_pi_phi(
@@ -97,13 +110,8 @@ def mm_pi_phi(
 
     pi must be 2-to-1 (every value hit 0 or 2 times); phi is arbitrary.
     """
-    if m is None:
-        size = len(pi)
-        m = size.bit_length() - 1
-        if size != 1 << m:
-            raise ConstructionError(f"pi length {size} is not a power of 2")
-    pi = _as_table(pi, m, "pi")
-    phi = _as_table(phi, m, "phi")
+    pi, m = _as_table(pi, m, "pi")
+    phi, _ = _as_table(phi, m, "phi")
     if not force:
         counts = np.bincount(np.asarray(pi), minlength=1 << m)
         if not bool(np.all((counts == 0) | (counts == 2))):
@@ -112,36 +120,26 @@ def mm_pi_phi(
                 f"pi is not 2-to-1: value {bad} has {int(counts[bad])} preimages"
             )
     ctx = FieldCtx(2, m, modulus)
-    size = 1 << m
-    vals = np.empty(size * size, dtype=np.int64)
-    for y in range(size):
-        py, fy = pi[y], phi[y]
-        col = np.fromiter(
-            (ctx.mul(x, py) ^ fy for x in range(size)), dtype=np.int64, count=size
-        )
-        vals[y::size] = col  # index x*2^m + y
-    return FuncTable(DomainParams(2, 2 * m, m), vals)
+    pi, phi = np.array(pi), np.array(phi)
+
+    def block(xy: np.ndarray) -> np.ndarray:
+        x, y = np.divmod(xy, 1 << m)  # xy = x * 2^m + y
+        return ctx.add(ctx.mul(x, pi[y]), phi[y])
+
+    return _tabulate(DomainParams(2, 2 * m, m), block)
 
 
 def mm1_case(pi: Sequence[int], phi: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Case split for mm_pi_phi: (1, ()) when 0 is not a value of pi;
     (2, (beta,)) when phi agrees on the two preimages of 0; (3, (b1, b2))
     when it does not."""
-    size = len(pi)
-    m = size.bit_length() - 1
-    pi = _as_table(pi, m, "pi")
-    phi = _as_table(phi, m, "phi")
-    fiber0 = [y for y in range(size) if pi[y] == 0]
-    if not fiber0:
-        return 1, ()
-    if len(fiber0) != 2:
-        raise ConstructionError(
-            f"pi is not 2-to-1: value 0 has {len(fiber0)} preimages"
-        )
-    b1, b2 = phi[fiber0[0]], phi[fiber0[1]]
-    if b1 == b2:
-        return 2, (b1,)
-    return 3, tuple(sorted((b1, b2)))
+    pi, m = _as_table(pi, len(pi).bit_length() - 1, "pi")
+    phi, _ = _as_table(phi, m, "phi")
+    fiber0 = [y for y, v in enumerate(pi) if v == 0]
+    if len(fiber0) not in (0, 2):
+        raise ConstructionError(f"pi is not 2-to-1: value 0 has {len(fiber0)} preimages")
+    betas = tuple(sorted({phi[y] for y in fiber0}))
+    return 1 + len(betas), betas
 
 
 def mm1_expected_histogram(m: int, case: int) -> tuple[tuple[int, int], ...]:
@@ -170,12 +168,7 @@ def mm_pair(
     pi must be a permutation and gcd(i, m) = 1; the expected distribution is
     one fiber of size 2^(m+1) - 1 at (0, 0) and singletons elsewhere.
     """
-    if m is None:
-        size = len(pi)
-        m = size.bit_length() - 1
-        if size != 1 << m:
-            raise ConstructionError(f"pi length {size} is not a power of 2")
-    pi = _as_table(pi, m, "pi")
+    pi, m = _as_table(pi, m, "pi")
     if i < 1:
         raise ConstructionError(f"i must be >= 1, got {i}")
     if not force:
@@ -184,18 +177,14 @@ def mm_pair(
         if gcd(i, m) != 1:
             raise ConstructionError(f"gcd(i, m) = gcd({i}, {m}) != 1")
     ctx = FieldCtx(2, m, modulus)
-    size = 1 << m
-    vals = np.empty(size * size, dtype=np.int64)
-    for y in range(size):
-        py = pi[y]
-        qy = ctx.pow(py, 1 << (i % m))  # Frobenius has order m: no 2^i is built
-        col = np.fromiter(
-            ((ctx.mul(x, py) << m) | ctx.mul(x, qy) for x in range(size)),
-            dtype=np.int64,
-            count=size,
-        )
-        vals[y::size] = col
-    return FuncTable(DomainParams(2, 2 * m, 2 * m), vals)
+    pi = np.array(pi)
+    pi_q = ctx.pow(pi, 1 << (i % m))  # Frobenius has order m: no 2^i is built
+
+    def block(xy: np.ndarray) -> np.ndarray:
+        x, y = np.divmod(xy, 1 << m)
+        return ctx.mul(x, pi[y]).astype(np.int64) << m | ctx.mul(x, pi_q[y])
+
+    return _tabulate(DomainParams(2, 2 * m, 2 * m), block)
 
 
 def linear_compose(table: FuncTable, rows: Sequence[Sequence[int]]) -> FuncTable:

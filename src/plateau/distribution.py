@@ -71,8 +71,8 @@ def preimage_distribution(table: FuncTable) -> PreimageDist:
     """Preimage counts and fiber-size histogram of a table.
 
     The counts total p^n, so they are held in walsh.signed_dtype(p^n), the
-    narrowest signed dtype that holds p^n; at p = 2 that is _p2_dtype(n), the
-    zero column's own dtype, so the transform copies them without a cast.
+    narrowest signed dtype that holds p^n, which at p = 2 is the zero column's
+    own dtype, so the transform copies them without a cast.
     np.add.at reads the narrow table values in place, where np.bincount
     copies them all to int64 (and copies any read-only input, so counts is
     made read-only last).  Its increment must be a scalar of the counts'

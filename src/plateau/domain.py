@@ -57,26 +57,6 @@ def digits(i: int, p: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def from_digits(ds: Sequence[int], p: int) -> int:
-    i = 0
-    for d in reversed(ds):
-        i = i * p + d
-    return i
-
-
-def vec_add(i: int, j: int, p: int, length: int) -> int:
-    if p == 2:
-        return i ^ j
-    out = 0
-    pk = 1
-    for _ in range(length):
-        out += ((i + j) % p) * pk
-        i //= p
-        j //= p
-        pk *= p
-    return out
-
-
 def dot(i: int, j: int, p: int, length: int) -> int:
     """Coordinatewise scalar product <i, j> in F_p."""
     if p == 2:
@@ -173,16 +153,43 @@ def dot_array(b: int, vals: np.ndarray, p: int, length: int) -> np.ndarray:
     return acc % p
 
 
+def to_planes(vals: np.ndarray, p: int, length: int, dtype=np.int64) -> np.ndarray:
+    """The (length, N) digit planes of N indices (any integer dtype, any
+    shape, read flat): row t holds digit t."""
+    rest = np.array(vals, dtype=np.int64).reshape(-1)
+    planes = np.empty((length, rest.size), dtype=dtype)
+    for t in range(length):
+        rest, planes[t] = np.divmod(rest, p)
+    return planes
+
+
+def from_planes(planes: np.ndarray, p: int, dtype=np.int64) -> np.ndarray:
+    """The indices whose digits (each below p) are the rows of planes, in
+    dtype, which must hold them."""
+    out = np.zeros(planes.shape[1:], dtype=dtype)
+    for row in planes[::-1]:
+        out *= p
+        np.add(out, row, out=out, casting="unsafe")
+    return out
+
+
 def matrix_apply(
     matrix: Sequence[Sequence[int]], vals: np.ndarray, p: int, in_len: int
 ) -> np.ndarray:
-    """Encoded L*v for every entry of vals; matrix rows index output digits."""
+    """Encoded L*v for every entry of vals, in value_dtype(p^rows); matrix
+    rows index output digits.  One plane product per _util.SCRATCH entries,
+    summed in the narrowest unsigned dtype that holds in_len * (p - 1)^2."""
     if any(len(row) != in_len for row in matrix):
         raise ValueError(f"matrix rows must have {in_len} entries")
-    out = np.zeros(np.shape(vals), dtype=np.int64)
-    for j, row in enumerate(matrix):
-        out += dot_array(from_digits([c % p for c in row], p), vals, p, in_len) * p**j
-    return out
+    dt = np.min_scalar_type(in_len * (p - 1) ** 2)
+    mat = np.array([[int(c) % p for c in row] for row in matrix], dtype=dt).reshape(-1, in_len)
+    flat = np.ravel(vals)
+    out = np.empty(flat.size, dtype=value_dtype(p ** len(mat)))
+    for lo in range(0, flat.size, _util.SCRATCH):
+        planes = to_planes(flat[lo : lo + _util.SCRATCH], p, in_len, dt)
+        prod = np.einsum("ij,jn->in", mat, planes)
+        out[lo : lo + _util.SCRATCH] = from_planes(prod % p, p, out.dtype)
+    return out.reshape(np.shape(vals))
 
 
 def matrix_rank(matrix: Sequence[Sequence[int]], p: int) -> int:

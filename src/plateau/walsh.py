@@ -6,10 +6,12 @@ in-place radix-4 Walsh-Hadamard butterflies on sign vectors for p = 2 and by
 one size-p DFT per base-p axis for odd p.
 
 Every p = 2 transform here is of +-1 sign rows of length 2^n or of preimage
-counts totalling 2^n, so every value, intermediate ones included, has
-magnitude at most 2^n.  One rule (_p2_dtype, from signed_dtype) turns that
-bound into the narrowest dtype that holds it; preimage_distribution keeps the
-counts in that dtype, so the zero column is transformed without a cast.
+counts totalling 2^n, so every value, intermediate ones included, is a
+signed sum of entries whose magnitudes total 2^n, and so has magnitude at
+most 2^n.  signed_dtype(2^n) turns that bound into the narrowest dtype that
+holds it (int16 while n <= 14, int32 while n <= 30, int64 while n <= 62);
+preimage_distribution keeps the counts in that dtype, so the zero column is
+transformed without a cast.
 The transform (fwht_last_axis) runs every stage that fits in a block of
 4 * _util.SCRATCH entries block by block, then the longer stages in
 quarter-block chunks, through one half-block scratch buffer.  Blocking only
@@ -61,17 +63,10 @@ def walsh_point(table: FuncTable, b: int, a: int) -> "int | CycInt":
     """Direct-summation W_F(b, a); the reference oracle, O(p^n) per call."""
     pr = table.params
     p = pr.p
-    if p == 2:
-        acc = 0
-        for x in range(pr.domain_size):
-            e = dot(b, table.value(x), 2, pr.m) ^ dot(a, x, 2, pr.n)
-            acc += 1 - 2 * e
-        return acc
     counts = [0] * p
     for x in range(pr.domain_size):
-        e = (dot(b, table.value(x), p, pr.m) - dot(a, x, p, pr.n)) % p
-        counts[e] += 1
-    return CycInt.from_exponent_coeffs(p, counts)
+        counts[(dot(b, table.value(x), p, pr.m) - dot(a, x, p, pr.n)) % p] += 1
+    return counts[0] - counts[1] if p == 2 else CycInt.from_exponent_coeffs(p, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +83,6 @@ def signed_dtype(bound: int) -> np.dtype:
         if bound <= np.iinfo(dt).max:
             return dt
     raise BudgetError(f"values of magnitude up to {bound} exceed the int64 budget")
-
-
-def _p2_dtype(n: int) -> np.dtype:
-    """Narrowest integer dtype for every p = 2 transform of a size-n table.
-
-    The bound: each intermediate value of the transform of a +-1 sign row of
-    length 2^n, or of preimage counts summing to 2^n, is a signed sum of
-    entries whose magnitudes total 2^n, so its magnitude is at most 2^n.
-    Hence int16 while n <= 14, int32 while n <= 30, int64 while n <= 62.
-    """
-    return signed_dtype(1 << n)
 
 
 def _butterfly4(quad: np.ndarray, pair: np.ndarray) -> None:
@@ -131,7 +115,7 @@ def fwht_last_axis(arr: np.ndarray) -> np.ndarray:
     member.  One scratch buffer of B/2 entries serves both phases.  Blocking
     only reorders butterflies, each writing a value of a partial transform,
     so the arithmetic stays within the input's dtype whenever the final
-    values do (the p = 2 bound is in _p2_dtype).  `arr` must be
+    values do (the p = 2 bound is in the module docstring).  `arr` must be
     C-contiguous, so that the stage views write through to it.
     """
     size = arr.shape[-1]
@@ -169,9 +153,9 @@ def fwht_last_axis(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _sign_transform(bits: np.ndarray, n: int) -> np.ndarray:
-    """Transform of the sign rows (-1)^bits of length 2^n, in _p2_dtype(n)."""
-    signs = bits.astype(_p2_dtype(n))
+def _sign_transform(bits: np.ndarray, size: int) -> np.ndarray:
+    """Transform of the sign rows (-1)^bits of length size = 2^n, in signed_dtype(size)."""
+    signs = bits.astype(signed_dtype(size))
     signs *= -2
     signs += 1
     return fwht_last_axis(signs)
@@ -395,19 +379,19 @@ def walsh_row(table: FuncTable, b: int) -> WalshVector:
     p, n = pr.p, pr.n
     evec = dot_array(b, table.values, p, pr.m)
     if p == 2:
-        return WalshVector(2, n, _sign_transform(evec, n))
+        return WalshVector(2, n, _sign_transform(evec, pr.domain_size))
     _guard_int64(p, n)
     mat = _exponent_one_hot(evec, p)
     return WalshVector(p, n, dft_p_axes(mat, p, n, sign=-1))
 
 
 def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
-    """Batched transformed rows for p=2: (len(bs), 2^n) in _p2_dtype(n).
+    """Batched transformed rows for p=2: (len(bs), 2^n) in signed_dtype(2^n).
 
-    Entries are bounded by 2^n in magnitude, which _p2_dtype turns into a
-    dtype.  The masks and values are ANDed in the table's dtype, the
-    narrowest unsigned one that holds 2^m - 1, so the (len(bs), 2^n)
-    temporary is 1 to 8 bytes an entry instead of 8.
+    Entries are bounded by 2^n in magnitude (see the module docstring).
+    The masks and values are ANDed in the table's dtype, the narrowest
+    unsigned one that holds 2^m - 1, so the (len(bs), 2^n) temporary is 1
+    to 8 bytes an entry instead of 8.
     """
     pr = table.params
     if pr.p != 2:
@@ -415,20 +399,20 @@ def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
     vals = table.values
     masked = vals[None, :] & bs.astype(vals.dtype)[:, None]
     fb = np.bitwise_count(masked) & np.uint8(1)
-    return _sign_transform(fb, pr.n)
+    return _sign_transform(fb, pr.domain_size)
 
 
 def zero_column(dist: "PreimageDist") -> WalshVector:
     """W_F(b, 0) for all b from the preimage counts of F: O(m * p^(m+1)).
 
-    For p = 2 the transform runs in _p2_dtype(n): the counts total 2^n, which
+    For p = 2 the transform runs in signed_dtype(2^n): the counts total 2^n, which
     bounds every value of the transform, and preimage_distribution already
     holds them in that dtype, so astype makes one copy and no cast.
     """
     pr = dist.params
     p, n, m = pr.p, pr.n, pr.m
     if p == 2:
-        return WalshVector(2, n, fwht_last_axis(dist.counts.astype(_p2_dtype(n))))
+        return WalshVector(2, n, fwht_last_axis(dist.counts.astype(signed_dtype(pr.domain_size))))
     _guard_int64(p, n)
     mat = np.zeros((pr.codomain_size, p), dtype=np.int64)
     mat[:, 0] = dist.counts

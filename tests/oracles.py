@@ -7,6 +7,7 @@ with the package beyond plain integers.
 """
 
 import cmath
+import functools
 
 
 def digits(x, p, k):
@@ -34,6 +35,70 @@ def vsub(x, y, p, k):
 
 def dot(x, y, p, k):
     return sum(a * b for a, b in zip(digits(x, p, k), digits(y, p, k))) % p
+
+
+def field_mul(x, y, p, modulus):
+    """x * y in F_p[t] / (modulus), elements as index-encoded coefficient
+    lists (little-endian, monic modulus of degree k = len(modulus) - 1): the
+    schoolbook product of the two digit lists, then long division."""
+    k = len(modulus) - 1
+    xd, yd = digits(x, p, k), digits(y, p, k)
+    prod = [0] * (2 * k - 1)
+    for i, a in enumerate(xd):
+        for j, b in enumerate(yd):
+            prod[i + j] += a * b
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top] % p
+        for t in range(k + 1):
+            prod[top - k + t] -= c * modulus[t]
+    return undigits([c % p for c in prod[:k]], p)
+
+
+def field_pow(x, e, p, modulus):
+    """x^e by binary square-and-multiply on schoolbook products (0^0 = 1)."""
+    out = 1
+    for bit in bin(e)[2:]:
+        out = field_mul(out, out, p, modulus)
+        if bit == "1":
+            out = field_mul(out, x, p, modulus)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _subfield_basis(p, modulus, sub_modulus):
+    """theta^0, ..., theta^(m-1) for theta the smallest-index root of
+    sub_modulus (degree m) in F_p[t] / (modulus)."""
+    k = len(modulus) - 1
+
+    def value(z):
+        acc = 0
+        for c in reversed(sub_modulus):
+            acc = vadd(field_mul(acc, z, p, modulus), c, p, k)
+        return acc
+
+    theta = min(z for z in range(p**k) if value(z) == 0)
+    return [field_pow(theta, j, p, modulus) for j in range(len(sub_modulus) - 1)]
+
+
+def field_rel_trace(x, m, p, modulus, sub_modulus):
+    """Trace of x onto the degree-m subfield, sum_i x^(p^(m i)), written on
+    the basis 1, theta, ..., theta^(m-1), theta the smallest-index root of
+    sub_modulus; returned as the index of its m coordinates."""
+    k = len(modulus) - 1
+    q = p**m
+    tr, y = 0, x
+    for _ in range(k // m):
+        tr = vadd(tr, y, p, k)
+        y = field_pow(y, q, p, modulus)
+
+    powers = _subfield_basis(p, tuple(modulus), tuple(sub_modulus))
+    for c in range(q):
+        s = 0
+        for cj, tj in zip(digits(c, p, m), powers):
+            s = vadd(s, field_mul(cj, tj, p, modulus), p, k)
+        if s == tr:
+            return c
+    raise AssertionError("the trace left the subfield")
 
 
 def walsh_counts(p, n, m, vals, b, a):

@@ -1,9 +1,12 @@
 import time
+import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
 
+import oracles as o
+from plateau import _util
 from plateau.constructions import (
     check_gold,
     check_mm1,
@@ -19,18 +22,18 @@ from plateau.constructions import (
 from plateau.distribution import imbalance, preimage_distribution
 from plateau.domain import DomainParams, FuncTable
 from plateau.errors import ConstructionError
-from plateau.field import FieldCtx
+from plateau.field import FieldCtx, default_modulus
 from plateau.report import AnalysisOptions
 from plateau.plateaued import component_profile
 
 
 def test_monomial_values_match_field_power():
     for p, n, d in ((2, 4, 3), (3, 3, 2), (5, 2, 7)):
-        ctx = FieldCtx(p, n)
+        mod = default_modulus(p, n)
         tbl = monomial(p, n, d)
         assert tbl.params == DomainParams(p, n, n)
         for x in range(p**n):
-            assert tbl.value(x) == ctx.pow(x, d)
+            assert tbl.value(x) == o.field_pow(x, d, p, mod)
 
 
 def test_monomial_fiber_sizes():
@@ -57,10 +60,10 @@ def test_gold_trace_frozen_small_case():
 
 
 def test_gold_trace_matches_field_formula():
-    ctx = FieldCtx(2, 6)
+    mod, sub = default_modulus(2, 6), default_modulus(2, 3)
     tbl = gold_trace(6, 1)
     for x in range(64):
-        assert tbl.value(x) == ctx.rel_trace(ctx.pow(x, 3), 3)
+        assert tbl.value(x) == o.field_rel_trace(o.field_pow(x, 3, 2, mod), 3, 2, mod, sub)
 
 
 def test_gold_trace_gate():
@@ -130,10 +133,10 @@ def test_mm_pi_phi_values_and_layout():
     phi = rng.integers(8, size=8).tolist()
     tbl = mm_pi_phi(pi, phi)
     assert tbl.params == DomainParams(2, 6, 3)
-    ctx = FieldCtx(2, m)
+    mod = default_modulus(2, m)
     for x in range(8):
         for y in range(8):
-            want = ctx.mul(x, pi[y]) ^ phi[y]
+            want = o.field_mul(x, pi[y], 2, mod) ^ phi[y]
             assert tbl.value(x * 8 + y) == want
 
 
@@ -210,11 +213,11 @@ def test_mm_pair_values_and_distribution():
     pi = list(range(8))
     tbl = mm_pair(pi, 1)
     assert tbl.params == DomainParams(2, 6, 6)
-    ctx = FieldCtx(2, m)
+    mod = default_modulus(2, m)
     for x in range(8):
         for y in range(8):
             py = pi[y]
-            want = (ctx.mul(x, py) << m) | ctx.mul(x, ctx.pow(py, 2))
+            want = (o.field_mul(x, py, 2, mod) << m) | o.field_mul(x, o.field_pow(py, 2, 2, mod), 2, mod)
             assert tbl.value(x * 8 + y) == want
     dist = preimage_distribution(tbl)
     assert dist.histogram == ((1, 49), (15, 1))
@@ -322,3 +325,19 @@ def test_huge_degree_is_refused_before_any_power():
     with pytest.raises(ValueError, match="beyond desk scale"):
         FieldCtx(2, 10**9)
     assert time.perf_counter() - start < 0.5
+
+
+def test_monomial_memory_is_the_table_plus_block_scratch(monkeypatch):
+    """monomial(2, 16, 3) peaks at its uint16 table plus O(deg * SCRATCH)
+    bytes of digit planes: with SCRATCH = 2^10 the bound, 128 KiB + 256 KiB,
+    is below the 512 KiB of one int64 table of the field."""
+    monkeypatch.setattr(_util, "SCRATCH", 1 << 10)
+    monomial(2, 16, 3)  # the default modulus and numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        tbl = monomial(2, 16, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tbl.values.nbytes == 2 << 16
+    assert peak <= tbl.values.nbytes + 16 * 16 * _util.SCRATCH

@@ -8,11 +8,11 @@ from plateau.domain import (
     digits,
     dot,
     dot_array,
-    from_digits,
+    from_planes,
     is_prime,
     matrix_apply,
     matrix_rank,
-    vec_add,
+    to_planes,
     vec_sub_arrays,
 )
 
@@ -26,23 +26,28 @@ def test_is_prime_small():
 
 
 def test_digits_round_trip():
+    """digits and the digit planes against the oracle, and back to indices."""
     for p in (2, 3, 5):
+        xs = np.arange(p**4)
+        planes = to_planes(xs, p, 4, np.uint8)
         for x in range(p**4):
             ds = digits(x, p, 4)
-            assert ds == o.digits(x, p, 4)
-            assert from_digits(ds, p) == x
+            assert ds == o.digits(x, p, 4) == tuple(planes[:, x].tolist())
+        assert from_planes(planes, p, np.uint16).tolist() == xs.tolist()
 
 
 def test_vec_ops_match_digit_arithmetic():
+    """vec_sub_arrays on scalar operands: the oracle's difference, x - x = 0,
+    and (x + y) - y = x."""
     rng = np.random.default_rng(7)
     for p, k in ((2, 5), (3, 4), (7, 3)):
         size = p**k
         for _ in range(60):
             x = int(rng.integers(size))
             y = int(rng.integers(size))
-            assert vec_add(x, y, p, k) == o.vadd(x, y, p, k)
-            assert vec_add(x, o.vsub(0, x, p, k), p, k) == 0
-            assert vec_add(o.vsub(x, y, p, k), y, p, k) == x
+            assert int(vec_sub_arrays(x, y, p, k)) == o.vsub(x, y, p, k)
+            assert int(vec_sub_arrays(x, x, p, k)) == 0
+            assert int(vec_sub_arrays(o.vadd(x, y, p, k), y, p, k)) == x
 
 
 def test_dot_matches_oracle_and_is_bilinear():
@@ -52,7 +57,7 @@ def test_dot_matches_oracle_and_is_bilinear():
         for _ in range(60):
             x, y, z = (int(v) for v in rng.integers(size, size=3))
             assert dot(x, y, p, k) == o.dot(x, y, p, k)
-            left = dot(vec_add(x, y, p, k), z, p, k)
+            left = dot(o.vadd(x, y, p, k), z, p, k)
             assert left == (dot(x, z, p, k) + dot(y, z, p, k)) % p
 
 

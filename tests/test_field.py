@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import oracles as o
@@ -172,3 +173,70 @@ def test_ctx_immutable_and_checked():
         FieldCtx(4, 2)
     with pytest.raises(ValueError):
         FieldCtx(2, 0)
+
+
+@pytest.mark.parametrize(
+    "p, deg, modulus",
+    [
+        (2, 8, None),
+        (2, 4, (1, 0, 0, 1, 1)),
+        (2, 6, None),
+        (3, 4, None),
+        (3, 2, (2, 1, 1)),
+        (5, 2, None),
+        (5, 3, None),
+        (7, 2, None),
+        (7, 2, (1, 0, 1)),
+    ],
+)
+def test_arithmetic_matches_schoolbook_oracle(p, deg, modulus):
+    """mul, pow and rel_trace on ints and on index arrays against the
+    schoolbook oracle, at sampled points plus 0, 1 and q - 1."""
+    import random
+
+    rng = random.Random(p * 100 + deg)
+    ctx = FieldCtx(p, deg, modulus)
+    mod = ctx.modulus if modulus is None else modulus
+    assert mod == (default_modulus(p, deg) if modulus is None else modulus)
+    q = p**deg
+    xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(9)]
+    ys = [rng.randrange(q) for _ in xs]
+    want = [o.field_mul(x, y, p, mod) for x, y in zip(xs, ys)]
+    assert [ctx.mul(x, y) for x, y in zip(xs, ys)] == want
+    assert ctx.mul(np.array(xs), np.array(ys)).tolist() == want
+    for e in (0, 1, 2, p, p + 1, q - 2, q - 1, q, q + 1, rng.randrange(2 * q)):
+        want = [o.field_pow(x, e, p, mod) for x in xs]
+        assert [ctx.pow(x, e) for x in xs] == want, e
+        assert ctx.pow(np.array(xs), e).tolist() == want, e
+    for m in range(1, deg + 1):
+        if deg % m == 0:
+            want = [o.field_rel_trace(x, m, p, mod, default_modulus(p, m)) for x in xs]
+            assert [ctx.rel_trace(x, m) for x in xs] == want, m
+            assert ctx.rel_trace(np.array(xs), m).tolist() == want, m
+
+
+def test_oracle_sees_the_default_f256_modulus_as_non_primitive():
+    """x has order 51 under F_2^8's default modulus x^8 + x^4 + x^3 + x + 1,
+    so no test may take x for a generator; 0^0 = 1 on ints and arrays."""
+    mod = default_modulus(2, 8)
+    assert mod == (1, 1, 0, 1, 1, 0, 0, 0, 1)
+    orders = [e for e in range(1, 256) if o.field_pow(2, e, 2, mod) == 1]
+    assert orders[0] == 51
+    ctx = FieldCtx(2, 8)
+    assert ctx.pow(2, 51) == 1 and ctx.pow(0, 0) == 1
+    assert ctx.pow(np.array([0, 2, 0]), 0).tolist() == [1, 1, 1]
+    assert ctx.pow(np.array([0, 2]), 51).tolist() == [0, 1]
+
+
+def test_array_calls_keep_shape_and_range_check():
+    ctx = FieldCtx(3, 3)
+    a = np.arange(27).reshape(3, 9)
+    assert ctx.mul(a, 2).shape == (3, 9)
+    assert ctx.add(a, a).tolist() == [[ctx.add(int(x), int(x)) for x in row] for row in a]
+    assert ctx.inv(np.array([1, 2])).tolist() == [ctx.inv(1), ctx.inv(2)]
+    with pytest.raises(ValueError, match="element 27 is not an integer in"):
+        ctx.mul(np.array([1, 27]), 1)
+    with pytest.raises(ValueError, match="element -1 is not an integer in"):
+        ctx.rel_trace(np.array([-1]), 1)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(np.array([1, 0]))

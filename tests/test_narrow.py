@@ -27,7 +27,7 @@ from plateau.domain import (
 )
 from plateau.fileio import format_binary, parse_function_bytes
 from plateau.report import AnalysisOptions, run_analysis
-from plateau.walsh import _p2_dtype, walsh_point, walsh_row, zero_column
+from plateau.walsh import signed_dtype, walsh_point, walsh_row, zero_column
 
 
 def random_table(p, n, m, seed):
@@ -120,13 +120,13 @@ def test_counts_dtype_holds_p_to_the_n(p, n):
     """Counts are held in the narrowest signed dtype that holds p^n, the
     largest a count can be, which a constant table reaches: int16 up to
     2^14, 3^9 and 5^6, int32 one step past; at p = 2 it is the zero column's
-    _p2_dtype(n), so the transform needs no cast."""
+    signed_dtype(2^n), so the transform needs no cast."""
     dist = preimage_distribution(FuncTable(DomainParams(p, n, 1), np.zeros(p**n, dtype=np.uint8)))
     want = np.int16 if p**n < 1 << 15 else np.int32
     assert dist.counts.dtype == want
     assert dist.count_of(0) == p**n and dist.histogram == ((p**n, 1),)
     if p == 2:
-        assert dist.counts.dtype == _p2_dtype(n) == zero_column(dist).data.dtype
+        assert dist.counts.dtype == signed_dtype(2**n) == zero_column(dist).data.dtype
 
 
 def int64_bincount_histogram(tbl):

@@ -14,9 +14,9 @@ from plateau.domain import DomainParams, FuncTable, dot_array
 from plateau.errors import BudgetError
 from plateau.walsh import (
     WalshVector,
-    _p2_dtype,
     dft_p_axes,
     fwht_last_axis,
+    signed_dtype,
     spectrum_rows,
     walsh_point,
     walsh_row,
@@ -211,14 +211,15 @@ def test_fwht_rejects_bad_input():
 
 
 def test_p2_dtype_rule_edges():
-    assert _p2_dtype(0) == np.int16
-    assert _p2_dtype(14) == np.int16
-    assert _p2_dtype(15) == np.int32
-    assert _p2_dtype(30) == np.int32
-    assert _p2_dtype(31) == np.int64
-    assert _p2_dtype(62) == np.int64
+    """Every p = 2 transform of a size-n table runs in signed_dtype(2^n)."""
+    assert signed_dtype(2**0) == np.int16
+    assert signed_dtype(2**14) == np.int16
+    assert signed_dtype(2**15) == np.int32
+    assert signed_dtype(2**30) == np.int32
+    assert signed_dtype(2**31) == np.int64
+    assert signed_dtype(2**62) == np.int64
     with pytest.raises(BudgetError):
-        _p2_dtype(63)
+        signed_dtype(2**63)
 
 
 @pytest.mark.parametrize("n", [14, 15])
@@ -229,22 +230,22 @@ def test_identity_table_reaches_the_bound(n):
     want = np.zeros(1 << n, dtype=np.int64)
     want[1] = 1 << n
     row = walsh_row(tbl, 1)
-    assert row.data.dtype == _p2_dtype(n)
+    assert row.data.dtype == signed_dtype(2**n)
     assert np.array_equal(row.data, want)
     batch = walsh_rows_signs_p2(tbl, np.array([1], dtype=np.int64))
-    assert batch.dtype == _p2_dtype(n)
+    assert batch.dtype == signed_dtype(2**n)
     assert np.array_equal(batch[0], want)
     zc = zero_column(preimage_distribution(tbl))
-    assert zc.data.dtype == _p2_dtype(n)
+    assert zc.data.dtype == signed_dtype(2**n)
     assert zc.value(0) == 1 << n
     assert not np.any(zc.data[1:])
 
 
 @pytest.mark.parametrize("n", [30, 31])
 def test_counts_at_the_int32_edge(n):
-    """Counts totalling 2^n transform exactly in _p2_dtype(n); at n = 31 an
+    """Counts totalling 2^n transform exactly in signed_dtype(2^n); at n = 31 an
     int32 choice would wrap 2^31."""
-    counts = np.array([1 << n, 0, 0, 0], dtype=_p2_dtype(n))
+    counts = np.array([1 << n, 0, 0, 0], dtype=signed_dtype(2**n))
     assert fwht_last_axis(counts).tolist() == [1 << n] * 4
 
 
@@ -498,7 +499,7 @@ def fourth_power_data():
     """+-2^16 at n = 16, every seventh entry 0: the squares fit int64, the
     fourth powers 2^64 do not."""
     rng = np.random.default_rng(21)
-    data = ((1 - 2 * rng.integers(0, 2, size=4096)) << 16).astype(_p2_dtype(16))
+    data = ((1 - 2 * rng.integers(0, 2, size=4096)) << 16).astype(signed_dtype(2**16))
     data[::7] = 0
     return data
 
@@ -586,5 +587,5 @@ def test_batched_sign_rows_narrow_and(m):
     bits = (np.bitwise_count(tbl.values[None, :] & bs[:, None]) & 1).astype(np.int64)
     want = fwht_last_axis(1 - 2 * bits)
     got = walsh_rows_signs_p2(tbl, bs)
-    assert got.dtype == _p2_dtype(10)
+    assert got.dtype == signed_dtype(2**10)
     assert np.array_equal(got, want)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ._util import ceil_div, require_counts
-from .domain import DomainParams, FuncTable, dot_array
+from .domain import DomainParams, FuncTable, digits, matrix_apply
 from .errors import InternalCheckError
 from .verdict import CheckResult
 from .walsh import WalshVector, signed_dtype, zero_column
@@ -63,8 +63,9 @@ class PreimageDist:
         pr = self.params
         if not 0 <= beta < pr.codomain_size:
             raise ValueError(f"beta {beta} outside [0, {pr.codomain_size})")
-        phase = dot_array(beta, np.arange(pr.codomain_size), pr.p, pr.m)
-        return self.zero_col.rotated(-phase % pr.p)
+        # blocked by SCRATCH, so no (m, p^m) planes; unsigned, so widened to negate
+        phase = matrix_apply([digits(beta, pr.p, pr.m)], np.arange(pr.codomain_size), pr.p, pr.m)
+        return self.zero_col.rotated(-phase.astype(np.int64) % pr.p)
 
 
 def preimage_distribution(table: FuncTable) -> PreimageDist:

@@ -4,6 +4,9 @@ A vector (x_0, ..., x_{k-1}) over F_p is encoded as the index sum x_i * p**i,
 so digit 0 is the least significant; for p = 2 the index is the familiar bit
 mask and vector addition is XOR.  A function is stored as the array of output
 indices in input-index order, in value_dtype(p^m); kernels widen at their bound.
+Component values <b, F(x)> have one rule, FuncTable.components; at odd p it
+multiplies the masks' digits into the table's digit planes (to_planes), split
+once per table and summed in the dtype matrix_apply uses.
 
 Odd-p digitwise subtraction of index arrays (vec_sub_arrays) never divides
 digit by digit.  It reads a cached digit-group table: for g digits,
@@ -59,8 +62,6 @@ def digits(i: int, p: int, length: int) -> tuple[int, ...]:
 
 def dot(i: int, j: int, p: int, length: int) -> int:
     """Coordinatewise scalar product <i, j> in F_p."""
-    if p == 2:
-        return (i & j).bit_count() & 1
     acc = 0
     for _ in range(length):
         acc += (i % p) * (j % p)
@@ -136,23 +137,6 @@ def vec_sub_arrays(us: np.ndarray, vs: np.ndarray, p: int, length: int) -> np.nd
     return out
 
 
-def dot_array(b: int, vals: np.ndarray, p: int, length: int) -> np.ndarray:
-    """<b, vals[i]> in [0, p) as int64, for vals of any dtype that holds b."""
-    if p == 2:
-        return (np.bitwise_count(vals & b) & 1).astype(np.int64)
-    # digits in vals' dtype; their products, up to (p - 1)^2, and sums in int64
-    acc = np.zeros(np.shape(vals), dtype=np.int64)
-    bb = b
-    pk = 1
-    for _ in range(length):
-        bd = bb % p
-        if bd:
-            acc += np.multiply(vals // pk % p, bd, dtype=np.int64)
-        bb //= p
-        pk *= p
-    return acc % p
-
-
 def to_planes(vals: np.ndarray, p: int, length: int, dtype=np.int64) -> np.ndarray:
     """The (length, N) digit planes of N indices (any integer dtype, any
     shape, read flat): row t holds digit t."""
@@ -173,15 +157,21 @@ def from_planes(planes: np.ndarray, p: int, dtype=np.int64) -> np.ndarray:
     return out
 
 
+def _plane_sum_dtype(p: int, length: int) -> np.dtype:
+    """Narrowest unsigned dtype of a sum of `length` products of two digits
+    below p: it holds length * (p - 1)^2."""
+    return np.min_scalar_type(length * (p - 1) ** 2)
+
+
 def matrix_apply(
     matrix: Sequence[Sequence[int]], vals: np.ndarray, p: int, in_len: int
 ) -> np.ndarray:
     """Encoded L*v for every entry of vals, in value_dtype(p^rows); matrix
     rows index output digits.  One plane product per _util.SCRATCH entries,
-    summed in the narrowest unsigned dtype that holds in_len * (p - 1)^2."""
+    summed in _plane_sum_dtype(p, in_len)."""
     if any(len(row) != in_len for row in matrix):
         raise ValueError(f"matrix rows must have {in_len} entries")
-    dt = np.min_scalar_type(in_len * (p - 1) ** 2)
+    dt = _plane_sum_dtype(p, in_len)
     mat = np.array([[int(c) % p for c in row] for row in matrix], dtype=dt).reshape(-1, in_len)
     flat = np.ravel(vals)
     out = np.empty(flat.size, dtype=value_dtype(p ** len(mat)))
@@ -260,7 +250,7 @@ class FuncTable:
     compares shape parameters and the table.
     """
 
-    __slots__ = ("params", "values")
+    __slots__ = ("params", "values", "_planes")
 
     def __init__(self, params: DomainParams, values: Iterable[int] | np.ndarray):
         arr = np.asarray(values)
@@ -284,12 +274,30 @@ class FuncTable:
             arr.setflags(write=False)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_planes", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("FuncTable is immutable")
 
     def value(self, x: int) -> int:
         return int(self.values[x])
+
+    def components(self, bs: Iterable[int] | np.ndarray) -> np.ndarray:
+        """The (len(bs), p^n) values <b, F(x)> of the masks b in bs, in
+        value_dtype(p): at p = 2 the parity of values & b in the table's
+        dtype, at odd p the masks' digits times the cached digit planes."""
+        p, m = self.params.p, self.params.m
+        if p == 2:
+            masked = self.values[None, :] & np.ravel(bs).astype(self.values.dtype)[:, None]
+            return np.bitwise_count(masked) & np.uint8(1)
+        if self._planes is None:
+            # threads racing here build equal arrays, so no lock is needed
+            planes = to_planes(self.values, p, m, value_dtype(p))
+            planes.setflags(write=False)
+            object.__setattr__(self, "_planes", planes)
+        coeffs = np.array([digits(b, p, m) for b in np.ravel(bs).tolist()], _plane_sum_dtype(p, m))
+        prod = np.einsum("ij,jn->in", coeffs.reshape(-1, m), self._planes)
+        return (prod % p).astype(value_dtype(p), copy=False)
 
     def __len__(self) -> int:
         return int(self.values.shape[0])

@@ -220,7 +220,7 @@ def component_profile(table: FuncTable, threads: Optional[int] = None) -> Amplit
                 row = walsh_row(table, b)
                 rat, sq[i] = row.sq_moduli().integers()
                 rational[i] = rat.all()
-                balanced[i] = row.value(0) == 0
+                balanced[i] = not row.basis_coords()[0].any()
             return sq, 1, rational, balanced
 
     # masks per batch: fixed, so output never depends on the worker count

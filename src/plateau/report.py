@@ -47,6 +47,7 @@ from .distribution import (
     surjectivity_certificate,
 )
 from .domain import DomainParams, FuncTable
+from .errors import InternalCheckError
 from .plateaued import (
     AmplitudeProfile,
     apn_structure,
@@ -188,7 +189,7 @@ def _distribution_block(an: Analysis) -> dict:
     cert = surjectivity_certificate(dist, n_f)
     lower = image_lower_bound(pr, n_f)
     if lower > dist.image_size:
-        raise AssertionError("image lower bound exceeded the actual image size")
+        raise InternalCheckError("image lower bound exceeded the actual image size")
     block.update(
         {
             "imbalance": n_f,

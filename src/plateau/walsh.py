@@ -5,27 +5,29 @@ element of Z[zeta_p] for odd p.  A row (fixed output mask b) is computed by
 in-place radix-4 Walsh-Hadamard butterflies on sign vectors for p = 2 and by
 one size-p DFT per base-p axis for odd p.
 
-Every p = 2 transform here is of +-1 sign rows of length 2^n or of preimage
-counts totalling 2^n, so every value, intermediate ones included, is a
-signed sum of entries whose magnitudes total 2^n, and so has magnitude at
-most 2^n.  signed_dtype(2^n) turns that bound into the narrowest dtype that
-holds it (int16 while n <= 14, int32 while n <= 30, int64 while n <= 62);
-preimage_distribution keeps the counts in that dtype, so the zero column is
-transformed without a cast.
-The transform (fwht_last_axis) runs every stage that fits in a block of
-4 * _util.SCRATCH entries block by block, then the longer stages in
+Every transform here, at every p, runs in signed_dtype(p^n), the narrowest
+of int16, int32 and int64 that holds p^n.  Each value it holds, intermediate
+ones included, is a signed sum of counts of inputs x totalling p^n, so its
+magnitude is at most p^n: +-1 sign rows of length 2^n and preimage counts at
+p = 2, nonnegative exponent counts at odd p.  preimage_distribution keeps the
+counts in that dtype, so the zero column is transformed without a cast.
+Component values <b, F(x)> come from FuncTable.components.  Squared moduli
+are widened to int64, or to Python ints past _util.fits_int64; odd-p
+squared-modulus coefficients are at most p^(2n+1), which _guard_int64 holds
+to fits_int64.
+
+The p = 2 transform (fwht_last_axis) runs every stage that fits in a block
+of 4 * _util.SCRATCH entries block by block, then the longer stages in
 quarter-block chunks, through one half-block scratch buffer.  Blocking only
 reorders butterflies, each still writing a value of a partial transform, so
-the 2^n bound holds.
+the p^n bound holds.
 
-Odd-p intermediate values live in (size, p) int64 matrices of exponent
-coefficients: entry [i, k] is the coefficient of zeta^k before
-canonicalization.  The DFT along one axis (dft_p_axes) is a gather: output
-coefficient k at frequency j is the sum over positions t of input coefficient
-k - j*t (mod p), read straight from the untransposed input (at p >= 41, from
-a row written out twice).  The coefficients are exponent counts, nonnegative
-and totalling p^n, and squared-modulus coefficients are at most p^(2n+1),
-which _guard_int64 holds to _util.fits_int64; takes are sized by _util.SCRATCH.
+Odd-p values live in (size, p) matrices of exponent coefficients: entry
+[i, k] is the coefficient of zeta^k before canonicalization.  The DFT along
+one axis (dft_p_axes) is a gather: output coefficient k at frequency j is
+the sum over positions t of input coefficient k - j*t (mod p), read straight
+from the untransposed input (at p >= 41, from a row written out twice);
+takes are sized by _util.SCRATCH.
 
 Rows and the zero column are returned as WalshVector, the one type that
 knows this layout and the p = 2 / odd-p split: callers ask it for values
@@ -52,7 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _util
 from ._util import exact_sum, fits_int64
 from .cyclotomic import CycInt
-from .domain import DomainParams, FuncTable, dot, dot_array
+from .domain import DomainParams, FuncTable, dot
 from .errors import BudgetError
 
 if TYPE_CHECKING:
@@ -205,8 +207,8 @@ def dft_p_axes(mat: np.ndarray, p: int, axes: int, sign: int) -> np.ndarray:
     _window_starts, reduced over t.  No index is built per row or set.
 
     Bounds: a step only adds nonnegative exponent counts, so every entry
-    stays at most the sum of the input (p^n for walsh_row and zero_column)
-    and int64 cannot overflow; _guard_int64 bounds the squared moduli taken
+    stays at most the sum of the input (p^n for walsh_row and zero_column,
+    held in signed_dtype(p^n)); _guard_int64 bounds the squared moduli taken
     afterwards.  A take or gather holds at most max(p^2, SCRATCH) entries;
     besides it a transform needs its input, two output buffers and, past
     p^3 > SCRATCH, the (p, 2p) row buffer and the (p, p) starts."""
@@ -242,12 +244,6 @@ def dft_p_axes(mat: np.ndarray, p: int, axes: int, sign: int) -> np.ndarray:
                 np.add.reduce(windows[starts[:, js]], axis=0, out=out[r, js])
         flat = out.reshape(-1)
     return flat.reshape(-1, p)
-
-
-def _exponent_one_hot(evec: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros((evec.shape[0], p), dtype=np.int64)
-    out[np.arange(evec.shape[0]), evec] = 1
-    return out
 
 
 def _sq_mod_coeffs(mat: np.ndarray) -> np.ndarray:
@@ -377,44 +373,35 @@ def walsh_row(table: FuncTable, b: int) -> WalshVector:
     """Full spectrum row for output mask b via fast butterflies."""
     pr = table.params
     p, n = pr.p, pr.n
-    evec = dot_array(b, table.values, p, pr.m)
+    evec = table.components([b])[0]
     if p == 2:
         return WalshVector(2, n, _sign_transform(evec, pr.domain_size))
     _guard_int64(p, n)
-    mat = _exponent_one_hot(evec, p)
+    mat = np.zeros((pr.domain_size, p), dtype=signed_dtype(pr.domain_size))
+    mat[np.arange(pr.domain_size), evec] = 1
     return WalshVector(p, n, dft_p_axes(mat, p, n, sign=-1))
 
 
 def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
-    """Batched transformed rows for p=2: (len(bs), 2^n) in signed_dtype(2^n).
-
-    Entries are bounded by 2^n in magnitude (see the module docstring).
-    The masks and values are ANDed in the table's dtype, the narrowest
-    unsigned one that holds 2^m - 1, so the (len(bs), 2^n) temporary is 1
-    to 8 bytes an entry instead of 8.
-    """
+    """Batched transformed rows for p=2: (len(bs), 2^n) in signed_dtype(2^n)."""
     pr = table.params
     if pr.p != 2:
         raise ValueError("batched sign rows are a p=2 path")
-    vals = table.values
-    masked = vals[None, :] & bs.astype(vals.dtype)[:, None]
-    fb = np.bitwise_count(masked) & np.uint8(1)
-    return _sign_transform(fb, pr.domain_size)
+    return _sign_transform(table.components(bs), pr.domain_size)
 
 
 def zero_column(dist: "PreimageDist") -> WalshVector:
     """W_F(b, 0) for all b from the preimage counts of F: O(m * p^(m+1)).
 
-    For p = 2 the transform runs in signed_dtype(2^n): the counts total 2^n, which
-    bounds every value of the transform, and preimage_distribution already
-    holds them in that dtype, so astype makes one copy and no cast.
+    The transform runs in the counts' own dtype, signed_dtype(p^n) (see the
+    module docstring), so the counts are copied without a cast.
     """
     pr = dist.params
     p, n, m = pr.p, pr.n, pr.m
     if p == 2:
-        return WalshVector(2, n, fwht_last_axis(dist.counts.astype(signed_dtype(pr.domain_size))))
+        return WalshVector(2, n, fwht_last_axis(dist.counts.copy()))
     _guard_int64(p, n)
-    mat = np.zeros((pr.codomain_size, p), dtype=np.int64)
+    mat = np.zeros((pr.codomain_size, p), dtype=dist.counts.dtype)
     mat[:, 0] = dist.counts
     return WalshVector(p, n, dft_p_axes(mat, p, m, sign=+1))
 

@@ -8,10 +8,12 @@ fail on a table whose every component is plateaued.  The fail counts per
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from plateau.constructions import monomial
 from plateau.report import CHECKS, Analysis, run_check
+from test_affine import affine_invariants_agree
 
 FIELDS = ((2, 4), (2, 5), (2, 6), (2, 7), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2))
 
@@ -29,13 +31,13 @@ FAIL_COUNTS = {
 
 @pytest.fixture(scope="module")
 def census():
-    """(p, n, d, all components plateaued, {tag: status}) per monomial."""
+    """(p, n, d, all components plateaued, {tag: status}, Analysis) per monomial."""
     rows = []
     for p, n in FIELDS:
         for d in range(1, p**n - 1):
             an = Analysis(monomial(p, n, d))
             statuses = {tag: run_check(an, tag, []).status for tag in CHECKS}
-            rows.append((p, n, d, an.profile().all_plateaued, statuses))
+            rows.append((p, n, d, an.profile().all_plateaued, statuses, an))
     return rows
 
 
@@ -46,7 +48,7 @@ def test_census_covers_every_monomial(census):
 def test_no_check_fails_on_plateaued_tables(census):
     failed = [
         (p, n, d, tag)
-        for p, n, d, plateaued, statuses in census
+        for p, n, d, plateaued, statuses, _ in census
         if plateaued
         for tag, status in statuses.items()
         if status == "fail"
@@ -57,8 +59,18 @@ def test_no_check_fails_on_plateaued_tables(census):
 def test_census_fail_counts(census):
     counts = Counter(
         (p, n, tag)
-        for p, n, _, _, statuses in census
+        for p, n, _, _, statuses, _ in census
         for tag, status in statuses.items()
         if status == "fail"
     )
     assert dict(counts) == FAIL_COUNTS
+
+
+def test_census_affine_images_agree(census):
+    """A random affine image of every monomial keeps its affine invariants
+    (tests/test_affine.py), so no verdict moves across an equivalence class.
+    The fourth moment, which would more than double this pass, is left to
+    the property there."""
+    rng = np.random.default_rng(8)
+    moved = [(p, n, d) for p, n, d, _, _, an in census if not affine_invariants_agree(an, rng, with_fourth=False)]
+    assert moved == []

@@ -667,7 +667,7 @@ def test_p2_fork_count_does_not_grow():
         for line in path.read_text().splitlines()
         if re.search(r"p == 2|p != 2", line)
     ]
-    assert len(forks) <= 21
+    assert len(forks) <= 20
 
 
 def test_resource_rules_live_in_util():

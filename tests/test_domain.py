@@ -7,7 +7,6 @@ from plateau.domain import (
     FuncTable,
     digits,
     dot,
-    dot_array,
     from_planes,
     is_prime,
     matrix_apply,
@@ -79,9 +78,6 @@ def test_array_ops_match_scalar_loops():
         assert got.tolist() == [o.vsub(int(u), int(v), p, k) for u, v in zip(us, vs)]
         got = vec_sub_arrays(us[:8, None], vs[None, :8], p, k)
         assert got.tolist() == [[o.vsub(int(u), int(v), p, k) for v in vs[:8]] for u in us[:8]]
-        b = int(rng.integers(size))
-        got = dot_array(b, us, p, k)
-        assert got.tolist() == [o.dot(b, int(u), p, k) for u in us]
 
 
 def test_matrix_apply_matches_digit_arithmetic():

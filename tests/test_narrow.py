@@ -4,6 +4,7 @@ check that every kernel doing arithmetic on the values widens at its own
 bound (narrow operands give what int64 ones give), that the narrow form
 changes no report byte, and how much memory parsing and counting take."""
 
+import dataclasses
 import json
 import tracemalloc
 from collections import Counter
@@ -20,7 +21,6 @@ from plateau.distribution import preimage_distribution
 from plateau.domain import (
     DomainParams,
     FuncTable,
-    dot_array,
     matrix_apply,
     value_dtype,
     vec_sub_arrays,
@@ -42,6 +42,7 @@ def int64_form(tbl):
     wide = object.__new__(FuncTable)
     object.__setattr__(wide, "params", tbl.params)
     object.__setattr__(wide, "values", tbl.values.astype(np.int64))
+    object.__setattr__(wide, "_planes", None)
     return wide
 
 
@@ -175,18 +176,21 @@ def test_histogram_matches_counted_counts(p, n, m):
 # ---------------------------------------------------------------------------
 # narrow operands against int64 ones
 
-@pytest.mark.parametrize("p, k", [(17, 1), (17, 2), (257, 1), (3, 5)])
-def test_dot_array_widens_narrow_operands(p, k):
-    """At p = 17 in uint8 a product of digits 16 * 16 wraps, and at p = 257
-    in uint16 256 * 256 does; every b with all digits p - 1 is included."""
+@pytest.mark.parametrize("p, n, k", [(17, 2, 1), (17, 2, 2), (257, 1, 1), (3, 4, 5)])
+def test_components_widen_narrow_operands(p, n, k):
+    """At p = 17 the uint8 digit planes hold 16, whose square wraps uint8,
+    and at p = 257 the uint16 planes hold 256, whose square wraps uint16;
+    the mask with all digits p - 1 and the value p^k - 1 are included.  The
+    narrow table and its int64 form give the same values."""
     rng = np.random.default_rng(p + k)
-    wide = np.concatenate([rng.integers(p**k, size=60), [p**k - 1]])
-    narrow = wide.astype(value_dtype(p**k))
-    for b in (p**k - 1, int(rng.integers(p**k)), 1):
-        got = dot_array(b, narrow, p, k)
-        assert got.dtype == np.int64
-        assert got.tolist() == dot_array(b, wide, p, k).tolist()
-        assert got.tolist() == [o.dot(b, int(v), p, k) for v in wide]
+    vals = rng.integers(p**k, size=p**n)
+    vals[0] = p**k - 1
+    tbl = FuncTable(DomainParams(p, n, k), vals)
+    bs = [p**k - 1, int(rng.integers(p**k)), 1]
+    got = tbl.components(bs)
+    assert got.dtype == value_dtype(p)
+    assert got.tolist() == int64_form(tbl).components(bs).tolist()
+    assert got.tolist() == [[o.dot(b, int(v), p, k) for v in vals] for b in bs]
 
 
 @pytest.mark.parametrize(
@@ -265,3 +269,20 @@ def test_narrow_form_changes_no_report_byte(shape, seed):
     want = report_bytes(tbl)
     assert report_bytes(parse_function_bytes(format_binary(tbl))) == want
     assert report_bytes(int64_form(tbl)) == want
+
+
+@pytest.mark.parametrize("p, n, m", [(2, 6, 6), (3, 3, 3)])
+def test_digit_planes_only_for_odd_p_rows(p, n, m):
+    """The zero-column-only analysis never builds a table's digit planes, nor
+    does any analysis at p = 2; the odd-p spectrum rows of analyze --all
+    build them once, (m, p^n) in value_dtype(p) and read-only."""
+    tbl = random_table(p, n, m, 9)
+    run_analysis(tbl, dataclasses.replace(ALL, zero_column_only=True))
+    assert tbl._planes is None
+    run_analysis(tbl, ALL)
+    if p == 2:
+        assert tbl._planes is None
+    else:
+        assert tbl._planes.shape == (m, p**n)
+        assert tbl._planes.dtype == value_dtype(p)
+        assert not tbl._planes.flags.writeable

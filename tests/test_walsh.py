@@ -10,7 +10,7 @@ import oracles as o
 from plateau import _util, walsh
 from plateau.cyclotomic import CycInt
 from plateau.distribution import preimage_distribution
-from plateau.domain import DomainParams, FuncTable, dot_array
+from plateau.domain import DomainParams, FuncTable, value_dtype
 from plateau.errors import BudgetError
 from plateau.walsh import (
     WalshVector,
@@ -31,12 +31,32 @@ def random_table(p, n, m, seed):
     return FuncTable(pr, rng.integers(pr.codomain_size, size=pr.domain_size))
 
 
-def test_component_values_match_dot():
-    tbl = random_table(3, 3, 2, 1)
+# largest (n, m) drawn per p: value dtypes uint8 to uint32, and at p = 257
+# uint16 digit planes
+COMPONENT_SHAPES = {2: (7, 20), 3: (4, 12), 5: (3, 8), 7: (2, 7), 257: (1, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_component_values_match_dot(data):
+    """FuncTable.components(bs) is <b, F(x)> for every mask b and input x,
+    in value_dtype(p), for a list or an array of masks, the empty one
+    included; a nonempty one always holds the mask with every digit p - 1."""
+    p = data.draw(st.sampled_from(sorted(COMPONENT_SHAPES)), label="p")
+    top_n, top_m = COMPONENT_SHAPES[p]
+    n = data.draw(st.integers(1, top_n), label="n")
+    m = data.draw(st.integers(1, top_m), label="m")
+    tbl = random_table(p, n, m, data.draw(st.integers(0, 2**16), label="seed"))
+    pm = p**m
+    bs = data.draw(st.lists(st.integers(0, pm - 1), max_size=3), label="bs") + [pm - 1]
+    if data.draw(st.booleans(), label="empty"):
+        bs = []
+    given_bs = np.array(bs, dtype=np.int64) if data.draw(st.booleans(), label="array") else bs
+    got = tbl.components(given_bs)
+    assert got.dtype == value_dtype(p)
+    assert got.shape == (len(bs), p**n)
     vals = list(tbl)
-    for b in range(9):
-        got = dot_array(b, tbl.values, 3, 2)
-        assert got.tolist() == [o.dot(b, v, 3, 2) for v in vals]
+    assert got.tolist() == [[o.dot(b, v, p, m) for v in vals] for b in bs]
 
 
 def test_walsh_point_matches_direct_sum_p2():
@@ -239,6 +259,23 @@ def test_identity_table_reaches_the_bound(n):
     assert zc.data.dtype == signed_dtype(2**n)
     assert zc.value(0) == 1 << n
     assert not np.any(zc.data[1:])
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_odd_p_identity_reaches_the_bound(n):
+    """F(x) = x at p = 3: row b = 1 is 3^n times zeta^0 at a = 1, and
+    W(0, 0) = 3^n, in signed_dtype(3^n): int16 at n = 9, int32 at n = 10."""
+    tbl = FuncTable(DomainParams(3, n, n), np.arange(3**n, dtype=np.int64))
+    row = walsh_row(tbl, 1)
+    assert row.data.dtype == signed_dtype(3**n)
+    rational, ints = row.integers()
+    assert rational.all()
+    assert np.flatnonzero(ints).tolist() == [1]
+    assert int(ints[1]) == 3**n
+    zc = zero_column(preimage_distribution(tbl))
+    assert zc.data.dtype == signed_dtype(3**n)
+    assert zc.value(0) == 3**n
+    assert zc.support_count() == 1
 
 
 @pytest.mark.parametrize("n", [30, 31])
@@ -447,7 +484,7 @@ def test_blocked_dft_p_axes_matches_walsh_counts(monkeypatch, p, n, m):
     vals = list(tbl)
     b = p + 1
     mat = np.zeros((p**n, p), dtype=np.int64)
-    mat[np.arange(p**n), dot_array(b, tbl.values, p, m)] = 1
+    mat[np.arange(p**n), tbl.components([b])[0]] = 1
     for sign in (-1, 1):
         got = dft_p_axes(mat, p, n, sign).tolist()
         for a in range(p**n):

@@ -28,7 +28,6 @@ from .distribution import (
     ABClass,
     BoundPair,
     PreimageDist,
-    SurjectivityReport,
     ab_walsh_consequences,
     classify_almost_balanced,
     image_lower_bound,
@@ -63,7 +62,7 @@ from .plateaued import (
     walsh_integrality_check,
 )
 from .report import AnalysisOptions, run_analysis
-from .verdict import CheckResult, combine
+from .verdict import CheckResult, combine, render
 from .walsh import WalshVector, spectrum_rows, walsh_point, walsh_row, zero_column
 
 __version__ = "1.0.0"
@@ -85,7 +84,6 @@ __all__ = [
     "FuncTable",
     "InternalCheckError",
     "PreimageDist",
-    "SurjectivityReport",
     "WalshVector",
     "ab_walsh_consequences",
     "apn_structure",
@@ -119,6 +117,7 @@ __all__ = [
     "parse_function_file",
     "preimage_bounds",
     "preimage_distribution",
+    "render",
     "run_analysis",
     "spectrum_rows",
     "surjectivity_certificate",

@@ -6,9 +6,9 @@ named structure check).  Kernel and end-to-end timings live outside the
 package, in perfbench/run.py and perfbench/summary.py.
 
 Exit codes: 0 all requested checks pass, 1 at least one check failed,
-2 usage or input parse error, 3 a requested section was skipped (resource
-budget or inapplicable check) or the work ran out of memory, with failures
-taking priority over skips.
+2 usage, input parse or unwritable output error, 3 a requested section
+was skipped (resource budget or inapplicable check) or the work ran out of
+memory, with failures taking priority over skips.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .constructions import (
 )
 from .differential import ddt_rows
 from .domain import FuncTable
-from .errors import BudgetError, ConstructionError, FileFormatError
+from .errors import BudgetError, FileFormatError
 from .fileio import format_text, parse_function_file, write_function_file
 from .report import (
     CHECKS,
@@ -48,6 +48,7 @@ from .report import (
     run_analysis,
     run_check,
 )
+from .verdict import render
 from .walsh import spectrum_rows
 
 _FILE_TAGS = tuple(CHECKS)
@@ -312,7 +313,7 @@ def _cmd_check_theorem(args: argparse.Namespace) -> int:
             f"unknown check {tag!r}; expected one of "
             f"{', '.join(_FILE_TAGS + _ARG_TAGS)}"
         )
-    _emit_json(cr.as_dict(), args.output)
+    _emit_json(render(cr), args.output)
     return _status_exit(cr.status)
 
 
@@ -404,7 +405,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (FileFormatError, ConstructionError, ValueError) as e:
+    except (ValueError, OSError) as e:
+        # bad input (FileFormatError and ConstructionError are ValueErrors)
+        # or an output path that cannot be written
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
     except BudgetError as e:

@@ -29,7 +29,7 @@ from .domain import DomainParams, FuncTable, matrix_apply, matrix_rank, value_dt
 from .errors import ConstructionError
 from .field import FieldCtx
 from .report import Analysis, AnalysisOptions, Withheld, require_budget
-from .verdict import CheckResult
+from .verdict import CheckResult, render
 
 
 def _tabulate(pr: DomainParams, block: Callable[[np.ndarray], np.ndarray]) -> FuncTable:
@@ -208,7 +208,7 @@ def linear_compose(table: FuncTable, rows: Sequence[Sequence[int]]) -> FuncTable
 def _profile_dict(an: Analysis) -> Optional[dict]:
     """The component profile as a dict, or None when the budget withholds it."""
     try:
-        return an.profile().as_dict()
+        return render(an.profile())
     except Withheld:
         return None
 
@@ -255,7 +255,7 @@ def check_gold(
         "n": n,
         "r": r,
         "d": d,
-        "profile": profile.as_dict(),
+        "profile": render(profile),
     }
     if d != half:
         dist = an.dist
@@ -284,7 +284,7 @@ def check_gold(
             {
                 "imbalance": n_f,
                 "histogram": [list(x) for x in dist.histogram],
-                "ab": ab.as_dict(),
+                "ab": render(ab),
             }
         )
     return CheckResult.judged(tag, problems, **details)

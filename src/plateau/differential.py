@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _util
 from .cyclotomic import CycInt
-from .domain import FuncTable, vec_sub_arrays
+from .domain import DomainParams, FuncTable, vec_sub_arrays
 from .errors import BudgetError, InternalCheckError
 from .walsh import WalshVector, walsh_row, walsh_rows_signs_p2
 
@@ -55,6 +55,11 @@ def ddt_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
         yield from zip(range(lo, hi), rows.reshape(hi - lo, pm))
 
 
+def apn_shape(params: DomainParams) -> bool:
+    """Whether APN applies to the shape: p = 2 and n = m."""
+    return params.p == 2 and params.n == params.m
+
+
 @dataclass(frozen=True)
 class DiffSummary:
     """Differential uniformity and shape of the nonzero DDT entries."""
@@ -62,9 +67,6 @@ class DiffSummary:
     delta: int
     two_valued_at: Optional[int]
     apn: Optional[bool]
-
-    def as_dict(self) -> dict:
-        return {"delta": self.delta, "two_valued_at": self.two_valued_at, "apn": self.apn}
 
 
 def diff_summary(table: FuncTable) -> DiffSummary:
@@ -92,7 +94,7 @@ def diff_summary(table: FuncTable) -> DiffSummary:
             # maxima differ the answer is None and no row needs counting
             uniform = int(np.count_nonzero(row)) * m == pn
     two_valued = delta if uniform and lowest == delta else None
-    apn = (delta <= 2) if (pr.p == 2 and pr.n == pr.m) else None
+    apn = (delta <= 2) if apn_shape(pr) else None
     return DiffSummary(delta, two_valued, apn)
 
 
@@ -108,13 +110,6 @@ class FourthMoment:
     all_masks: int
     restricted: int
     apn_by_moment: Optional[bool]
-
-    def as_dict(self) -> dict:
-        return {
-            "all_masks": self.all_masks,
-            "restricted": self.restricted,
-            "apn_by_moment": self.apn_by_moment,
-        }
 
 
 def _diff_sq_sum_all(table: FuncTable) -> int:
@@ -165,6 +160,6 @@ def fourth_moment(table: FuncTable) -> FourthMoment:
             )
     restricted = all_masks - pr.p ** (4 * pr.n)
     apn_by_moment = None
-    if pr.p == 2 and pr.n == pr.m:
+    if apn_shape(pr):
         apn_by_moment = restricted == (2 ** pr.n - 1) * 2 ** (3 * pr.n + 1)
     return FourthMoment(all_masks, restricted, apn_by_moment)

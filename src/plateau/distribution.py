@@ -145,15 +145,6 @@ class BoundPair:
     def contains(self, x: int) -> bool:
         return (self.denominator * x - self.numerator) ** 2 <= self.radicand
 
-    def as_dict(self) -> dict:
-        return {
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "radicand": self.radicand,
-            "lo_ceil": self.lo_ceil,
-            "hi_floor": self.hi_floor,
-        }
-
 
 def _make_bound_pair(num: int, rad: int, den: int) -> BoundPair:
     # for an integer k, |den*k - num| <= sqrt(rad) exactly when
@@ -179,15 +170,6 @@ class ABClass:
     witnesses_plus: tuple[int, ...]
     witnesses_minus: tuple[int, ...]
     surjective: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "witness": self.witness,
-            "witnesses_plus": list(self.witnesses_plus),
-            "witnesses_minus": list(self.witnesses_minus),
-            "surjective": self.surjective,
-        }
 
 
 def _witnesses_of_size(dist: PreimageDist, size: int) -> tuple[int, ...]:
@@ -306,26 +288,18 @@ def ab_walsh_consequences(an: "Analysis") -> CheckResult:
     )
 
 
-@dataclass(frozen=True)
-class SurjectivityReport:
-    actual: bool
-    guaranteed: bool
-
-    def as_dict(self) -> dict:
-        return {"actual": self.actual, "guaranteed": self.guaranteed}
-
-
-def surjectivity_certificate(dist: PreimageDist, n_f: int) -> SurjectivityReport:
-    """One-way certificate: small enough imbalance forces surjectivity."""
+def surjectivity_certificate(dist: PreimageDist, n_f: int) -> bool:
+    """Whether the imbalance guarantees surjectivity (a one-way certificate:
+    small enough imbalance forces it); a guarantee the image contradicts
+    raises InternalCheckError."""
     pr = dist.params
     pm = pr.codomain_size
     guaranteed = n_f * (pm - 1) * pm < pr.domain_size ** 2
-    actual = dist.image_size == pm
-    if guaranteed and not actual:
+    if guaranteed and dist.image_size != pm:
         raise InternalCheckError(
             f"imbalance {n_f} certifies surjectivity but image is {dist.image_size} < {pm}"
         )
-    return SurjectivityReport(actual, guaranteed)
+    return guaranteed
 
 
 def image_lower_bound(params: DomainParams, n_f: int) -> int:

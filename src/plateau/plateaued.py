@@ -35,11 +35,11 @@ from ._util import exact_sum, fits_int64, run_ordered, thread_count
 # the checks take their artifacts from an Analysis; diff_summary,
 # preimage_distribution and zero_column stay importable here because
 # perfbench/tracer.py wraps them under these names
-from .differential import diff_summary
+from .differential import apn_shape, diff_summary
 from .distribution import PreimageDist, preimage_distribution
 from .domain import DomainParams, FuncTable
 from .errors import BudgetError, InternalCheckError
-from .verdict import CheckResult, combine
+from .verdict import CheckResult, combine, render
 from .walsh import walsh_row, walsh_rows_signs_p2, zero_column
 
 if TYPE_CHECKING:
@@ -283,7 +283,7 @@ def dto1_check(an: "Analysis") -> CheckResult:
             problems.append(
                 f"expected every component bent, got t histogram {profile.t_histogram()}"
             )
-        return CheckResult.judged(tag, problems, d=2, case="planar-2to1", profile=profile.as_dict())
+        return CheckResult.judged(tag, problems, d=2, case="planar-2to1", profile=render(profile))
     t = _p_power_exponent(d - 1, pr.p)
     problems = []
     if pr.n % 2:
@@ -325,7 +325,7 @@ def dto1_check(an: "Analysis") -> CheckResult:
         t=t,
         expected_n0=expected_n0,
         expected_n1=expected_n1,
-        profile=profile.as_dict(),
+        profile=render(profile),
     )
 
 
@@ -380,7 +380,7 @@ def apn_structure(an: "Analysis") -> CheckResult:
     plateaued APN functions; each verified as a separate sub-check."""
     tag = "apn-structure"
     pr = an.params
-    if pr.p != 2 or pr.n != pr.m:
+    if not apn_shape(pr):
         return CheckResult.skipped(tag, "requires p = 2 and n = m")
     diff = an.diff()
     if not diff.apn:

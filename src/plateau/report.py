@@ -56,7 +56,7 @@ from .plateaued import (
     dto1_check,
     walsh_integrality_check,
 )
-from .verdict import CheckResult
+from .verdict import CheckResult, render
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -170,23 +170,19 @@ def _distribution_block(an: Analysis) -> dict:
         "preimage_histogram": [list(x) for x in dist.histogram],
     }
     n_f = an.n_f
+    guaranteed = None if n_f is None else surjectivity_certificate(dist, n_f)
+    block["surjectivity"] = {
+        "actual": dist.image_size == pr.codomain_size,
+        "guaranteed": guaranteed,
+        "inconclusive": not guaranteed,
+    }
     if n_f is None:
-        block.update(
-            {
-                "imbalance": None,
-                "note": "imbalance needs m <= 2n; only the raw distribution is reported",
-            }
-        )
-        block["surjectivity"] = {
-            "actual": dist.image_size == pr.codomain_size,
-            "guaranteed": None,
-            "inconclusive": True,
-        }
+        block["imbalance"] = None
+        block["note"] = "imbalance needs m <= 2n; only the raw distribution is reported"
         return block
     rad, image = imbalance_defect(dist, n_f)
     aware, free = preimage_bounds(dist, n_f)
     ab = an.ab
-    cert = surjectivity_certificate(dist, n_f)
     lower = image_lower_bound(pr, n_f)
     if lower > dist.image_size:
         raise InternalCheckError("image lower bound exceeded the actual image size")
@@ -199,15 +195,7 @@ def _distribution_block(an: Analysis) -> dict:
             "ab_witness": ab.witness,
             "ab_witnesses_plus": list(ab.witnesses_plus),
             "ab_witnesses_minus": list(ab.witnesses_minus),
-            "bounds": {
-                "image_aware": aware.as_dict(),
-                "image_free": free.as_dict(),
-            },
-            "surjectivity": {
-                "actual": cert.actual,
-                "guaranteed": cert.guaranteed,
-                "inconclusive": not cert.guaranteed,
-            },
+            "bounds": render({"image_aware": aware, "image_free": free}),
             "image_lower_bound": lower,
         }
     )
@@ -245,7 +233,7 @@ def run_analysis(table: FuncTable, opts: AnalysisOptions) -> tuple[dict, int]:
         skipped.append("imbalance")
 
     sections = (
-        ("profile", opts.with_profile, lambda: an.profile().as_dict()),
+        ("profile", opts.with_profile, lambda: render(an.profile())),
         ("differential", opts.with_differential, lambda: _differential_block(an)),
     )
     for name, wanted, build in sections:
@@ -264,7 +252,7 @@ def run_analysis(table: FuncTable, opts: AnalysisOptions) -> tuple[dict, int]:
     if opts.with_checks:
         t0 = time.perf_counter()
         checks = [run_check(an, tag, skipped) for tag in CHECKS]
-        report["checks"] = [c.as_dict() for c in checks]
+        report["checks"] = render(checks)
         timings["checks"] = time.perf_counter() - t0
         any_fail = any(c.status == "fail" for c in checks)
 

@@ -1,4 +1,5 @@
-"""Verdict type shared by every named structure check.
+"""Verdict type shared by every named structure check, and the one rule that
+renders every result as JSON-ready builtins.
 
 A check never assumes its hypotheses: shape or hypothesis mismatches yield
 status "skipped" with a reason, a verified conclusion yields "pass", and a
@@ -7,7 +8,7 @@ violated conclusion yields "fail" with the offending quantities in details.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Mapping, Sequence
 
 PASS = "pass"
@@ -45,19 +46,11 @@ class CheckResult:
     def ok(self) -> bool:
         return self.status != FAIL
 
-    def as_dict(self) -> dict:
-        return {
-            "tag": self.tag,
-            "status": self.status,
-            "reason": self.reason,
-            "details": _plain(self.details),
-        }
-
 
 def combine(tag: str, children: Sequence[CheckResult], **details: Any) -> CheckResult:
     """Fold sub-check verdicts: any fail -> fail, all skipped -> skipped."""
     merged = dict(details)
-    merged["checks"] = [c.as_dict() for c in children]
+    merged["checks"] = render(children)
     failures = [c for c in children if c.status == FAIL]
     if failures:
         reason = "; ".join(f"{c.tag}: {c.reason}" for c in failures)
@@ -67,18 +60,22 @@ def combine(tag: str, children: Sequence[CheckResult], **details: Any) -> CheckR
     return CheckResult(tag, PASS, "", merged)
 
 
-def _plain(obj: Any) -> Any:
-    """Recursively convert details to JSON-serializable builtins."""
+def render(obj: Any) -> Any:
+    """The one rendering rule: obj as JSON-ready builtins (dict, list, int,
+    str, bool, None).  Mappings and sequences are rendered entry by entry and
+    numpy values through tolist(); a result record renders as its as_dict()
+    view where it keeps one (a view derived from its fields), else as its
+    dataclass fields.  Anything else raises TypeError."""
     if isinstance(obj, Mapping):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return {str(k): render(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, str)):
+        return [render(v) for v in obj]
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if hasattr(obj, "tolist") and hasattr(obj, "dtype"):  # numpy scalar or array
-        return _plain(obj.tolist())
+        return render(obj.tolist())
     if hasattr(obj, "as_dict"):
-        return _plain(obj.as_dict())
-    return repr(obj)
+        return render(obj.as_dict())
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: render(getattr(obj, f.name)) for f in fields(obj)}
+    raise TypeError(f"cannot render {type(obj).__name__} as JSON")

@@ -19,6 +19,7 @@ from plateau.constructions import linear_compose, monomial
 from plateau.differential import fourth_moment
 from plateau.domain import DomainParams, FuncTable, matrix_apply, matrix_rank, vec_sub_arrays
 from plateau.report import CHECKS, Analysis, run_check
+from plateau.verdict import render
 
 
 def invertible(p, k, rng):
@@ -50,11 +51,11 @@ def ea_image(table, rng):
 
 def invariants(an, with_fourth=True):
     """(EA invariants, affine invariants) of one table's Analysis."""
-    profile = an.profile().as_dict()
+    profile = render(an.profile())
     balanced = profile.pop("balanced_count")
-    ea = {"profile": profile, "diff": an.diff().as_dict()}
+    ea = {"profile": profile, "diff": render(an.diff())}
     if with_fourth:
-        ea["fourth_moment"] = fourth_moment(an.table).as_dict()
+        ea["fourth_moment"] = render(fourth_moment(an.table))
     affine = dict(
         ea,
         balanced_count=balanced,

@@ -16,6 +16,7 @@ from plateau.differential import (
     fourth_moment,
 )
 from plateau.domain import DomainParams, FuncTable
+from plateau.verdict import render
 from plateau.walsh import walsh_row
 
 
@@ -134,7 +135,7 @@ def test_cube_map_is_apn():
     assert s.delta == 2
     assert s.two_valued_at == 2
     assert s.apn is True
-    assert s.as_dict() == {"delta": 2, "two_valued_at": 2, "apn": True}
+    assert render(s) == {"delta": 2, "two_valued_at": 2, "apn": True}
 
 
 def test_power_five_frozen_summary():

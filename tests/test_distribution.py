@@ -20,6 +20,7 @@ from plateau.distribution import (
 )
 from plateau.domain import DomainParams, FuncTable
 from plateau.report import Analysis
+from plateau.verdict import render
 from plateau.walsh import zero_column
 
 
@@ -87,7 +88,7 @@ def test_cube_map_frozen_bounds():
     tbl = monomial(2, 4, 3)
     dist = preimage_distribution(tbl)
     aware, free = preimage_bounds(dist, 30)
-    assert aware.as_dict() == {
+    assert render(aware) == {
         "numerator": 16,
         "denominator": 6,
         "radicand": 100,
@@ -228,18 +229,21 @@ def test_bounds_contain_all_sizes_randomized():
             assert aware.contains(size), (seed, size)
             assert free.contains(size), (seed, size)
         assert image_lower_bound(tbl.params, n_f) <= dist.image_size
-        cert = surjectivity_certificate(dist, n_f)
-        assert cert.actual == (dist.image_size == p**m)
-        if cert.guaranteed:
-            assert cert.actual
+        if surjectivity_certificate(dist, n_f):
+            assert dist.image_size == p**m
 
 
 def test_surjectivity_certificate_fires_on_balanced():
     pr = DomainParams(2, 4, 2)
     tbl = FuncTable(pr, [x % 4 for x in range(16)])
     dist = preimage_distribution(tbl)
-    cert = surjectivity_certificate(dist, imbalance(dist))
-    assert cert.guaranteed and cert.actual
+    assert surjectivity_certificate(dist, imbalance(dist)) is True
+    assert dist.image_size == 4
+
+
+def test_image_lower_bound_refuses_wide_codomain():
+    with pytest.raises(ValueError, match="m <= 2n"):
+        image_lower_bound(DomainParams(2, 1, 3), 0)
 
 
 def test_image_lower_bound_tight_on_cube_map():

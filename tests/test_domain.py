@@ -94,6 +94,11 @@ def test_matrix_apply_matches_digit_arithmetic():
             assert int(got[x]) == o.undigits(out, p)
 
 
+def test_matrix_apply_refuses_ragged_rows():
+    with pytest.raises(ValueError, match="3 entries"):
+        matrix_apply([[1, 0, 1], [1, 0]], np.arange(8), 2, 3)
+
+
 def test_matrix_rank_known_cases():
     assert matrix_rank([[1, 0], [0, 1]], 2) == 2
     assert matrix_rank([[0, 0], [0, 0]], 3) == 0

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,20 @@ def test_binary_round_trip_all_widths():
         assert width == {4: 1, 10: 2, 11: 4}[m]
         again = parse_function_bytes(blob)
         assert again == tbl
+
+
+def test_binary_format_stops_at_u32(tmp_path):
+    """Entries past u32 (p^m > 2^32) have no binary width: writing and parsing
+    both refuse them, while the text form still round-trips."""
+    tbl = FuncTable(DomainParams(2, 1, 33), [0, (1 << 33) - 1])
+    with pytest.raises(FileFormatError, match="u32"):
+        format_binary(tbl)
+    with pytest.raises(FileFormatError, match="u32"):
+        write_function_file(tbl, tmp_path / "t.bin", binary=True)
+    blob = MAGIC + struct.pack("<III", 2, 1, 33) + bytes(16)
+    with pytest.raises(FileFormatError, match="u32"):
+        parse_function_bytes(blob)
+    assert parse_function_bytes(format_text(tbl).encode()) == tbl
 
 
 def test_file_round_trip(tmp_path):

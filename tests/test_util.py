@@ -5,7 +5,7 @@ import pytest
 
 from plateau._util import ceil_div, exact_sum, fits_int64, require_counts, run_ordered, thread_count
 from plateau.errors import BudgetError
-from plateau.verdict import CheckResult, combine
+from plateau.verdict import CheckResult, combine, render
 
 
 def test_ceil_div():
@@ -91,7 +91,7 @@ def test_combine_folding():
     assert combine("all", []).status == "pass"
 
 
-def test_as_dict_is_json_ready():
+def test_render_is_json_ready():
     res = CheckResult.passed(
         "x",
         count=np.int64(5),
@@ -99,13 +99,24 @@ def test_as_dict_is_json_ready():
         nested={"flag": np.bool_(True)},
         pair=(1, "two"),
     )
-    d = res.as_dict()
+    d = render(res)
+    assert list(d) == ["tag", "status", "reason", "details"]
     text = json.dumps(d)
     back = json.loads(text)
     assert back["details"]["count"] == 5
     assert back["details"]["arr"] == [1, 2]
     assert back["details"]["nested"]["flag"] is True
     assert back["details"]["pair"] == [1, "two"]
+
+
+@pytest.mark.parametrize("bad", [object(), 0.5, np.float64(0.5), {1}, CheckResult])
+def test_render_refuses_what_it_cannot_render(bad):
+    """No repr() fallback: an object address or a float never reaches a
+    report, however deep it sits."""
+    with pytest.raises(TypeError):
+        render(bad)
+    with pytest.raises(TypeError):
+        render(CheckResult.passed("x", nested=[{"v": bad}]))
 
 
 @pytest.mark.parametrize("bits", [40, 50, 51, 55, 61, 62])

@@ -295,6 +295,11 @@ def test_batched_sign_rows_match_single_rows():
         assert batch[b].tolist() == walsh_row(tbl, b).data.tolist()
 
 
+def test_batched_sign_rows_refuse_odd_p():
+    with pytest.raises(ValueError, match="p=2"):
+        walsh_rows_signs_p2(random_table(3, 2, 2, 5), np.arange(1, 9))
+
+
 def test_zero_column_matches_points():
     for p, n, m, seed in ((2, 6, 4, 13), (3, 3, 2, 14)):
         tbl = random_table(p, n, m, seed)

@@ -1,7 +1,8 @@
 """Exact analysis of functions F_p^n -> F_p^m: Walsh spectra, value
 distributions, differential tables, and the structural checks tying them
-together.  All arithmetic is exact (integers and cyclotomic integers);
-no statistic is ever computed in floating point.
+together.  All arithmetic is exact: integers, and Walsh values in
+Z[zeta_p] held as integer coordinates on the basis 1, zeta, ...,
+zeta^(p-2); no statistic is ever computed in floating point.
 """
 
 from .constructions import (
@@ -16,7 +17,6 @@ from .constructions import (
     mm_pi_phi,
     monomial,
 )
-from .cyclotomic import CycInt
 from .differential import (
     DiffSummary,
     FourthMoment,
@@ -63,7 +63,7 @@ from .plateaued import (
 )
 from .report import AnalysisOptions, run_analysis
 from .verdict import CheckResult, combine, render
-from .walsh import WalshVector, spectrum_rows, walsh_point, walsh_row, zero_column
+from .walsh import WalshVector, spectrum_rows, walsh_row, zero_column
 
 __version__ = "1.0.0"
 
@@ -75,7 +75,6 @@ __all__ = [
     "BudgetError",
     "CheckResult",
     "ConstructionError",
-    "CycInt",
     "DiffSummary",
     "DomainParams",
     "FieldCtx",
@@ -122,7 +121,6 @@ __all__ = [
     "spectrum_rows",
     "surjectivity_certificate",
     "walsh_integrality_check",
-    "walsh_point",
     "walsh_row",
     "write_function_file",
     "zero_column",

@@ -14,7 +14,9 @@ memory, with failures taking priority over skips.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from contextlib import nullcontext
 from itertools import chain
@@ -236,19 +238,40 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         max_table_log=args.max_table_log,
         timings=args.timings,
     )
-    report, code = run_analysis(table, opts)
-    if args.ddt_full:
+    ddt_csv = args.ddt_full
+    if ddt_csv:
         try:
             require_budget(table.params, opts, "diff")
         except Withheld:
-            if code != EXIT_FAIL:
-                code = EXIT_PARTIAL
-            report["skipped"] = sorted({*report.get("skipped", ()), "ddt_csv"})
-        else:
-            _write_ddt_csv(table, args.ddt_full)
-            report["ddt_csv"] = args.ddt_full
+            ddt_csv = None
+    # an unwritable output fails before the analysis, not after it
+    for path in (args.output, ddt_csv):
+        if path:
+            _check_writable(path)
+    report, code = run_analysis(table, opts)
+    if ddt_csv:
+        _write_ddt_csv(table, ddt_csv)
+        report["ddt_csv"] = ddt_csv
+    elif args.ddt_full:
+        if code != EXIT_FAIL:
+            code = EXIT_PARTIAL
+        report["skipped"] = sorted({*report.get("skipped", ()), "ddt_csv"})
     _emit_json(report, args.output)
     return code
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening `path` for writing would raise when it
+    names a directory or its parent is not an existing directory; creates
+    and truncates nothing."""
+    target = Path(path)
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _write_ddt_csv(table: FuncTable, path: str) -> None:

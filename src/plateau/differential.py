@@ -19,10 +19,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import _util
-from .cyclotomic import CycInt
 from .domain import DomainParams, FuncTable, vec_sub_arrays
 from .errors import BudgetError, InternalCheckError
-from .walsh import WalshVector, walsh_row, walsh_rows_signs_p2
+from .walsh import WalshVector, rational_sum, walsh_row, walsh_rows_signs_p2
 
 
 def ddt_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
@@ -123,12 +122,12 @@ def _diff_sq_sum_all(table: FuncTable) -> int:
     return total + sum(int(row @ row) for _, row in ddt_rows(table))
 
 
-def _walsh_fourth_sum_all(table: FuncTable) -> "int | CycInt":
+def _walsh_fourth_sum_all(table: FuncTable) -> int:
     """Direct spectral sum of |W(b,a)|^4 over every (b, a); cross-check path.
 
-    A single row's sum can be a non-rational element of Z[zeta_p] at p >= 5;
-    only the sum over every b is a rational integer, so the total is an exact
-    ring element that equals the differential side when the code is right.
+    A single row's sum can be irrational at p >= 5; only the sum over every b
+    is a rational integer, so the rows' basis coordinates are summed first and
+    an irrational total raises InternalCheckError.
     """
     pr = table.params
     pm = pr.codomain_size
@@ -138,8 +137,9 @@ def _walsh_fourth_sum_all(table: FuncTable) -> "int | CycInt":
         vecs = (WalshVector(2, pr.n, walsh_rows_signs_p2(table, bs).reshape(-1)) for bs in batches)
     else:
         vecs = (walsh_row(table, b) for b in range(pm))
-    # |W|^2 is real, so the squared modulus of |W|^2 is |W|^4
-    return sum(vec.sq_moduli().sq_total() for vec in vecs)
+    # |W|^2 is real, so the squared moduli of |W|^2 are |W|^4
+    fourth = (sq.sq_moduli() for vec in vecs for sq in vec.sq_slices())
+    return rational_sum(pr.p, fourth, "spectral fourth-moment sum")
 
 
 def fourth_moment(table: FuncTable) -> FourthMoment:

@@ -111,7 +111,7 @@ def imbalance(dist: PreimageDist) -> int:
     pm = pr.codomain_size
     # W(0, 0) = p^n, so dropping b = 0 is exact
     sq = dist.zero_col.sq_total() - pr.p ** (2 * pr.n)
-    if not isinstance(sq, int) or sq % pm:
+    if sq % pm:
         raise InternalCheckError(f"sum of squared zero-column moduli {sq} not divisible by p^m")
     from_walsh = sq // pm
     from_sizes = dist.sum_sq_sizes() - pr.p ** (2 * pr.n - pr.m)

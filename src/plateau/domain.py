@@ -60,16 +60,6 @@ def digits(i: int, p: int, length: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def dot(i: int, j: int, p: int, length: int) -> int:
-    """Coordinatewise scalar product <i, j> in F_p."""
-    acc = 0
-    for _ in range(length):
-        acc += (i % p) * (j % p)
-        i //= p
-        j //= p
-    return acc % p
-
-
 # ---------------------------------------------------------------------------
 # vectorized variants over numpy index arrays (exact int64 arithmetic)
 

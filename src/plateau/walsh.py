@@ -1,9 +1,11 @@
 """Walsh transforms of p-ary and vectorial functions, in exact arithmetic.
 
 W_F(b, a) = sum_x zeta^{<b,F(x)> - <a,x>} is a plain integer for p = 2 and an
-element of Z[zeta_p] for odd p.  A row (fixed output mask b) is computed by
-in-place radix-4 Walsh-Hadamard butterflies on sign vectors for p = 2 and by
-one size-p DFT per base-p axis for odd p.
+element of Z[zeta_p] for odd p, handled only through its coordinates on the
+basis 1, zeta, ..., zeta^(p-2) (Python ints or numpy arrays, never a ring
+object).  A row (fixed output mask b) is computed by in-place radix-4
+Walsh-Hadamard butterflies on sign vectors for p = 2 and by one size-p DFT
+per base-p axis for odd p.
 
 Every transform here, at every p, runs in signed_dtype(p^n), the narrowest
 of int16, int32 and int64 that holds p^n.  Each value it holds, intermediate
@@ -30,17 +32,17 @@ from the untransposed input (at p >= 41, from a row written out twice);
 takes are sized by _util.SCRATCH.
 
 Rows and the zero column are returned as WalshVector, the one type that
-knows this layout and the p = 2 / odd-p split: callers ask it for values
-(int or CycInt), rational integers, squared moduli, exact sums, support
-counts and basis coordinates, and never index its storage.
+knows this layout and the p = 2 / odd-p split: callers ask it for basis
+coordinates, rational integers, squared moduli and exact sums of squared
+moduli, and never index its storage.
 
 The zero column W_F(b, 0) over all b depends only on the value distribution
 and is computed as the length-p^m transform of the preimage count vector,
 never touching the full spectrum, once per table (PreimageDist.zero_col).
 The column of F - beta is that one times zeta^(-<b, beta>) (rotated).
 
-`walsh_point` is the deliberately naive direct summation used as the
-reference oracle for every fast path.
+The reference oracle for every fast path is the direct summation in
+tests/oracles.py (walsh_counts), which shares no code with this module.
 """
 
 from __future__ import annotations
@@ -53,22 +55,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _util
 from ._util import exact_sum, fits_int64
-from .cyclotomic import CycInt
-from .domain import DomainParams, FuncTable, dot
-from .errors import BudgetError
+from .domain import FuncTable
+from .errors import BudgetError, InternalCheckError
 
 if TYPE_CHECKING:
     from .distribution import PreimageDist
-
-
-def walsh_point(table: FuncTable, b: int, a: int) -> "int | CycInt":
-    """Direct-summation W_F(b, a); the reference oracle, O(p^n) per call."""
-    pr = table.params
-    p = pr.p
-    counts = [0] * p
-    for x in range(pr.domain_size):
-        counts[(dot(b, table.value(x), p, pr.m) - dot(a, x, p, pr.n)) % p] += 1
-    return counts[0] - counts[1] if p == 2 else CycInt.from_exponent_coeffs(p, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +267,10 @@ class WalshVector:
     Every value is a sum of p^n p-th roots of unity (|W|^2 of a vector at n
     is one at 2n).  The storage layout is private to this class: a 1-D
     integer array at p = 2, an (N, p) matrix of exponent coefficients for
-    odd p.  Only basis_coords, sq_moduli and rotated read it; every other
-    accessor works on the basis coordinates.  Squares and squared moduli stay
-    in int64 while _fits_int64 says so and switch to Python ints (object
-    arrays) beyond.
+    odd p.  Only basis_coords, sq_moduli and rotated read it; integers and
+    the exact sums work on the basis coordinates.  Squares and squared
+    moduli stay in int64 while _fits_int64 says so and switch to Python ints
+    (object arrays) beyond.
     """
 
     __slots__ = ("p", "n", "data")
@@ -309,18 +300,18 @@ class WalshVector:
             return WalshVector(2, 2 * self.n, wide * wide)
         return WalshVector(self.p, 2 * self.n, _sq_mod_coeffs(wide))
 
-    def sq_total(self) -> "int | CycInt":
-        """Sum of |v_i|^2, exact; a Python int when rational (always for a
-        spectrum row, p^(2n) by Parseval, and for the zero column).  Squared
-        _util.SCRATCH entries at a time, never widening the whole vector."""
+    def sq_slices(self) -> Iterator["WalshVector"]:
+        """|v_i|^2 as consecutive vectors of _util.SCRATCH entries (the last
+        one shorter), so that no caller widens the whole vector at once."""
         step = _util.SCRATCH
-        slices = (self.data[lo : lo + step] for lo in range(0, len(self), step))
-        return _exact_total(self.p, (WalshVector(self.p, self.n, s).sq_moduli() for s in slices))
+        for lo in range(0, len(self), step):
+            yield WalshVector(self.p, self.n, self.data[lo : lo + step]).sq_moduli()
 
-    def total(self) -> "int | CycInt":
-        """Sum of the values, exact: a Python int when rational, else a
-        CycInt.  For the zero column it is p^m * |F^{-1}(0)|."""
-        return _exact_total(self.p, [self])
+    def sq_total(self) -> int:
+        """Sum of |v_i|^2, exact, slice by slice: p^(2n) for a spectrum row by
+        Parseval, and rational for the zero column.  Raises
+        InternalCheckError when the sum is not a rational integer."""
+        return rational_sum(self.p, self.sq_slices(), "sum of squared moduli")
 
     def integers(self) -> tuple[np.ndarray, np.ndarray]:
         """(rational, ints): rational[i] says entry i is a rational integer,
@@ -340,33 +331,28 @@ class WalshVector:
         shift = (np.arange(self.p) - exps[:, None]) % self.p
         return WalshVector(self.p, self.n, np.take_along_axis(self.data, shift, axis=1))
 
-    def support_count(self) -> int:
-        """Number of nonzero entries."""
-        return int(np.count_nonzero(np.any(self.basis_coords(), axis=1)))
-
-    def value(self, i: int) -> "int | CycInt":
-        """Entry i: an int at p = 2, a CycInt for odd p."""
-        return WalshVector(self.p, self.n, self.data[[i]]).values()[0]
-
-    def values(self) -> list:
-        return [self._element(c) for c in self.basis_coords().tolist()]
-
-    def _element(self, coords: list) -> "int | CycInt":
-        return coords[0] if self.p == 2 else CycInt(self.p, coords)
-
     def __len__(self) -> int:
         return int(self.data.shape[0])
 
 
-def _exact_total(p: int, vecs: Iterable[WalshVector]) -> "int | CycInt":
-    """Sum of every entry of every vector, exact: an int when rational."""
+def _exact_coords(p: int, vecs: Iterable[WalshVector]) -> list[int]:
+    """The p - 1 basis coordinates of the sum of every entry of every vector,
+    exact Python ints."""
     sums = [0] * (p - 1)
     for vec in vecs:
         coords = vec.basis_coords()
         bits = (p**vec.n).bit_length() + 1
         sums = [s + exact_sum(coords[:, k], bits) for k, s in enumerate(sums)]
-    v = CycInt(p, sums)
-    return v.coeffs[0] if v.is_rational() else v
+    return sums
+
+
+def rational_sum(p: int, vecs: Iterable[WalshVector], what: str) -> int:
+    """The sum of every entry of every vector, exact; InternalCheckError,
+    naming `what`, when it is not a rational integer."""
+    coords = _exact_coords(p, vecs)
+    if any(coords[1:]):
+        raise InternalCheckError(f"{what} is not a rational integer: basis coordinates {coords}")
+    return coords[0]
 
 
 def walsh_row(table: FuncTable, b: int) -> WalshVector:

@@ -1,18 +1,32 @@
+"""The Z[zeta_p] arithmetic of tests/oracles.py, which the Walsh tests take as
+ground truth: an element is a list of exponent counts, sum_k c_k zeta^k, and
+counts_canonical gives its coordinates on the basis 1, zeta, ...,
+zeta^(p-2), the coordinates WalshVector.basis_coords returns."""
+
 import random
 
-import pytest
-
 import oracles as o
-from plateau.cyclotomic import CycInt
+
+
+def complex_value(counts, p):
+    z = o.cmath.exp(2j * o.cmath.pi / p)
+    return sum(c * z**k for k, c in enumerate(counts))
+
+
+def root_power(k, p):
+    """Exponent counts of zeta^k."""
+    counts = [0] * p
+    counts[k % p] = 1
+    return counts
 
 
 def test_from_exponent_coeffs_kills_all_ones():
     # 1 + z + ... + z^{p-1} = 0
     for p in (3, 5, 7):
-        z = CycInt.from_exponent_coeffs(p, [1] * p)
-        assert z.is_zero()
-        w = CycInt.from_exponent_coeffs(p, [4] * p)
-        assert w.is_zero()
+        for k in (1, 4):
+            assert o.counts_canonical([k] * p, p) == (0,) * (p - 1)
+            assert o.cyclotomic_canonical_sympy(p, [k] * p) == (0,) * (p - 1)
+            assert o.rational_value([k] * p, p) == 0
 
 
 def test_canonical_form_matches_polynomial_reduction():
@@ -20,121 +34,79 @@ def test_canonical_form_matches_polynomial_reduction():
     for p in (3, 5, 7):
         for _ in range(40):
             counts = [rng.randrange(-9, 10) for _ in range(p)]
-            z = CycInt.from_exponent_coeffs(p, counts)
-            assert tuple(z.coeffs) == o.cyclotomic_canonical_sympy(p, counts)
-            assert tuple(z.coeffs) == o.counts_canonical(counts, p)
+            assert o.counts_canonical(counts, p) == o.cyclotomic_canonical_sympy(p, counts)
+    # p = 2 works on the basis {1}, where zeta = -1
+    assert o.counts_canonical([3, 5], 2) == (-2,)
 
 
 def test_ring_ops_match_sympy():
-    """Add, subtract, multiply agree with reduction mod the cyclotomic polynomial."""
+    """sq_modulus_counts, the oracle's product z * conj(z), agrees with the
+    product of the polynomials reduced mod the cyclotomic polynomial, where
+    conjugation sends y^k to y^(p-k)."""
     from sympy import Poly, cyclotomic_poly, symbols
 
     y = symbols("y")
     rng = random.Random(6)
-    for p in (3, 5):
+    for p in (3, 5, 7):
         phi = Poly(cyclotomic_poly(p, y), y)
         for _ in range(30):
-            ca = [rng.randrange(-6, 7) for _ in range(p - 1)]
-            cb = [rng.randrange(-6, 7) for _ in range(p - 1)]
-            a, b = CycInt(p, ca), CycInt(p, cb)
-            pa = Poly(list(reversed(ca)), y)
-            pb = Poly(list(reversed(cb)), y)
-            for got, want in (
-                (a + b, pa + pb),
-                (a - b, pa - pb),
-                (a * b, (pa * pb).rem(phi)),
-            ):
-                coeffs = list(reversed([int(c) for c in want.rem(phi).all_coeffs()]))
-                coeffs += [0] * (p - 1 - len(coeffs))
-                assert list(got.coeffs) == coeffs
+            counts = [rng.randrange(-6, 7) for _ in range(p)]
+            conj = [counts[-k % p] for k in range(p)]
+            prod = (Poly(list(reversed(counts)), y) * Poly(list(reversed(conj)), y)).rem(phi)
+            want = [int(c) for c in reversed(prod.all_coeffs())]
+            want += [0] * (p - 1 - len(want))
+            assert o.counts_canonical(o.sq_modulus_counts(counts, p), p) == tuple(want)
 
 
 def test_root_power_cycle():
+    """Every root power has squared modulus 1, and the p of them sum to 0."""
     p = 5
-    z = CycInt.root_power(p, 1)
-    acc = CycInt.from_int(p, 1)
-    seen = []
-    for _ in range(p):
-        seen.append(acc)
-        acc = acc * z
-    assert acc == seen[0]
-    total = seen[0]
-    for term in seen[1:]:
-        total = total + term
-    assert total.is_zero()
-    assert CycInt.root_power(p, 7) == CycInt.root_power(p, 2)
+    for k in range(p):
+        assert o.rational_value(o.sq_modulus_counts(root_power(k, p), p), p) == 1
+    total = [sum(col) for col in zip(*(root_power(k, p) for k in range(p)))]
+    assert o.counts_canonical(total, p) == (0,) * (p - 1)
 
 
 def test_conj_and_sq_modulus():
+    """|z|^2 is fixed by conjugation, and rational_value reads an integer
+    exactly when every canonical coordinate past the first is zero."""
     rng = random.Random(7)
     for p in (3, 5, 7):
         for _ in range(30):
             counts = [rng.randrange(8) for _ in range(p)]
-            z = CycInt.from_exponent_coeffs(p, counts)
-            sq = z.sq_modulus()
-            assert sq == z * z.conj()
-            want = o.sq_modulus_counts(counts, p)
-            assert sq == CycInt.from_exponent_coeffs(p, want)
-            rational = o.rational_value(want, p)
-            assert sq.is_rational() == (rational is not None)
+            sq = o.sq_modulus_counts(counts, p)
+            assert sq == [sq[-k % p] for k in range(p)]
+            coords = o.counts_canonical(sq, p)
+            rational = o.rational_value(sq, p)
+            assert (rational is not None) == (not any(coords[1:]))
             if rational is not None:
-                assert sq.as_integer() == rational
+                assert rational == coords[0]
+            if p == 3:
+                # the real subfield of Q(zeta_3) is Q
+                assert rational is not None
 
 
 def test_sq_modulus_against_complex_float():
+    """sq_modulus_counts and rational_value against complex floating-point
+    values of the same elements."""
     rng = random.Random(8)
-    for p in (3, 5):
+    for p in (3, 5, 7):
         for _ in range(20):
             counts = [rng.randrange(6) for _ in range(p)]
-            z = CycInt.from_exponent_coeffs(p, counts)
-            if not z.sq_modulus().is_rational():
-                continue
-            approx = abs(
-                sum(
-                    c * o.cmath.exp(2j * o.cmath.pi * k / p)
-                    for k, c in enumerate(counts)
-                )
-            )
-            assert abs(z.sq_modulus().as_integer() - approx * approx) < 1e-6
-
-
-def test_int_coercion_and_equality():
-    p = 3
-    a = CycInt.from_int(p, 4)
-    assert a + 1 == CycInt.from_int(p, 5)
-    assert 1 + a == CycInt.from_int(p, 5)
-    assert a - 4 == CycInt.zero(p)
-    assert 10 - a == CycInt.from_int(p, 6)
-    assert a * 2 == CycInt.from_int(p, 8)
-    assert -a == CycInt.from_int(p, -4)
-    assert a == 4
-    assert a != CycInt.from_int(5, 4)
-    assert a.is_rational() and a.as_integer() == 4
+            approx = abs(complex_value(counts, p)) ** 2
+            sq = o.sq_modulus_counts(counts, p)
+            assert abs(complex_value(sq, p) - approx) < 1e-6
+            rational = o.rational_value(sq, p)
+            if rational is not None:
+                assert abs(rational - approx) < 1e-6
+            value = o.rational_value(counts, p)
+            if value is not None:
+                assert abs(complex_value(counts, p) - value) < 1e-6
 
 
 def test_as_integer_rejects_irrational():
-    z = CycInt.root_power(5, 1)
-    assert not z.is_rational()
-    with pytest.raises(ValueError):
-        z.as_integer()
-
-
-def test_requires_prime_and_exact_length():
-    with pytest.raises(ValueError):
-        CycInt(4, [0, 0, 0])
-    with pytest.raises(ValueError):
-        CycInt(5, [1, 2, 3])
-    with pytest.raises(ValueError):
-        CycInt.from_exponent_coeffs(5, [1, 2, 3, 4, 5, 6])
-    # short exponent vectors pad with zeros
-    assert CycInt.from_exponent_coeffs(5, [1, 2, 3]) == CycInt(5, [1, 2, 3, 0])
-    # p = 2 works on the basis {1}, where zeta = -1
-    assert CycInt.from_exponent_coeffs(2, [3, 5]) == CycInt(2, [-2])
-
-
-def test_immutable_and_hashable():
-    a = CycInt(3, [2, 1])
-    with pytest.raises(AttributeError):
-        a.coeffs = (0, 0)
-    assert hash(a) == hash(CycInt(3, [2, 1]))
-    assert len({a, CycInt(3, [2, 1]), CycInt(3, [1, 2])}) == 2
+    """rational_value refuses zeta itself, and reads an integer from counts
+    that are not canonical: 3 + (zeta + ... + zeta^4) = 3 - 1."""
+    assert o.rational_value(root_power(1, 5), 5) is None
+    assert o.rational_value([3, 1, 1, 1, 1], 5) == 2
+    assert o.rational_value([3, 1, 1, 1, 2], 5) is None

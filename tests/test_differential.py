@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from plateau import _util
+from plateau import _util, walsh
 from plateau.constructions import monomial
-from plateau.cyclotomic import CycInt
 from plateau.differential import (
     _walsh_fourth_sum_all,
     ddt_rows,
@@ -16,6 +16,7 @@ from plateau.differential import (
     fourth_moment,
 )
 from plateau.domain import DomainParams, FuncTable
+from plateau.errors import InternalCheckError
 from plateau.verdict import render
 from plateau.walsh import walsh_row
 
@@ -221,6 +222,36 @@ def test_fourth_moment_identity_map():
     assert fm.apn_by_moment is False
 
 
+@st.composite
+def fourth_moment_tables(draw):
+    """A random table at p in {2, 3, 5, 7} with p^(2n+m) <= 5^5, which keeps
+    the oracle's p^(n+m) direct sums of p^n terms each cheap."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 5).filter(lambda k: p ** (2 * k + 1) <= 5**5))
+    m = draw(st.integers(1, 3).filter(lambda k: p ** (2 * n + k) <= 5**5))
+    pr = DomainParams(p, n, m)
+    vals = draw(
+        st.lists(
+            st.integers(0, pr.codomain_size - 1),
+            min_size=pr.domain_size,
+            max_size=pr.domain_size,
+        )
+    )
+    return FuncTable(pr, vals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fourth_moment_tables())
+def test_fourth_moment_sides_match_oracle_randomized(tbl):
+    """The spectral sum over every (b, a) and the differential side's
+    restricted sum both equal the oracle's direct sum; the b = 0 row adds
+    p^(4n)."""
+    p, n, m = tbl.params.p, tbl.params.n, tbl.params.m
+    want = o.fourth_moment_restricted(p, n, m, list(tbl))
+    assert _walsh_fourth_sum_all(tbl) == want + p ** (4 * n)
+    assert fourth_moment(tbl).restricted == want
+
+
 def test_fourth_moment_matches_oracle():
     """Differential-side computation equals the direct spectral quadruple sum."""
     for p, n, m, seed in ((2, 3, 2, 41), (3, 2, 2, 42), (5, 2, 1, 43)):
@@ -230,21 +261,58 @@ def test_fourth_moment_matches_oracle():
         assert fm.all_masks == fm.restricted + p ** (4 * n)
 
 
-def test_spectral_fourth_moment_past_the_int64_bound():
-    """(5, 6, 1) is the smallest odd-p table (by p^(n+m)) whose |W|^4 sums
-    leave int64.  Each row's sum is a non-rational element of Z[zeta_5]; only
-    the sum over every b is an integer, and it matches a sum accumulated in
-    Z[zeta_5] by the oracle."""
+def wide_odd_rows():
+    """The rows of a random (5, 6, 1) table, the smallest odd-p table (by
+    p^(n+m)) whose |W|^4 sums leave int64."""
     p, n, m = 5, 6, 1
     tbl = random_table(p, n, m, 47)
-    rows = [walsh_row(tbl, b) for b in range(p**m)]
+    return tbl, [walsh_row(tbl, b) for b in range(p**m)]
+
+
+def test_spectral_fourth_moment_past_the_int64_bound():
+    """Only the sum over every b is an integer, and it matches a sum
+    accumulated in Z[zeta_5] by the oracle."""
+    tbl, rows = wide_odd_rows()
+    p, n = 5, 6
     assert not rows[1].sq_moduli()._fits_int64()
-    assert walsh_row(random_table(p, n - 1, m, 47), 1).sq_moduli()._fits_int64()
-    assert any(isinstance(row.sq_moduli().sq_total(), CycInt) for row in rows)
-    want = o.fourth_power_sum(
-        p, (list(w.coeffs) + [0] for row in rows for w in row.values())
-    )
+    assert walsh_row(random_table(p, n - 1, 1, 47), 1).sq_moduli()._fits_int64()
+    # basis coordinates with a zero top exponent count are exponent counts
+    want = o.fourth_power_sum(p, (c + [0] for row in rows for c in row.basis_coords().tolist()))
     assert _walsh_fourth_sum_all(tbl) == want
+
+
+def test_sq_total_refuses_an_irrational_row_sum():
+    """A single row's sum of |W|^4 can be irrational at p = 5, as on the
+    (5, 6, 1) table; sq_total raises InternalCheckError there and returns
+    the integer on every other row."""
+    _, rows = wide_odd_rows()
+    irrational = 0
+    for row in rows:
+        sq = row.sq_moduli()
+        coords = walsh._exact_coords(5, sq.sq_slices())
+        if any(coords[1:]):
+            irrational += 1
+            with pytest.raises(InternalCheckError, match="not a rational integer"):
+                sq.sq_total()
+        else:
+            assert sq.sq_total() == coords[0]
+    assert irrational
+
+
+def test_p2_spectral_fourth_moment_squares_slice_by_slice():
+    """At (2, 11, 11) one batch holds 2048 rows of 2048 int16 entries, 8 MiB.
+    Squaring it slice by slice keeps the traced peak under 16 MiB, where
+    widening the whole batch to int64 twice took 72 MiB; the sum equals the
+    differential side, which fourth_moment does not cross-check this large."""
+    tbl = random_table(2, 11, 11, 49)
+    tracemalloc.start()
+    try:
+        got = _walsh_fourth_sum_all(tbl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert got == fourth_moment(tbl).all_masks
 
 
 def test_spectral_fourth_moment_p2_past_the_batched_bound():
@@ -252,5 +320,5 @@ def test_spectral_fourth_moment_p2_past_the_batched_bound():
     the Python-int path of sq_total and match Python-int sums of the row
     values."""
     tbl = random_table(2, 16, 1, 48)
-    want = sum(int(w) ** 4 for b in range(2) for w in walsh_row(tbl, b).values())
+    want = sum(w**4 for b in range(2) for w in walsh_row(tbl, b).data.tolist())
     assert _walsh_fourth_sum_all(tbl) == want

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import oracles as o
+from plateau import domain
 from plateau.domain import (
     DomainParams,
     FuncTable,
     digits,
-    dot,
     from_planes,
     is_prime,
     matrix_apply,
@@ -50,22 +50,29 @@ def test_vec_ops_match_digit_arithmetic():
 
 
 def test_dot_matches_oracle_and_is_bilinear():
+    """<b, x> as FuncTable.components of the identity map computes it, the
+    package's one scalar-product rule: the oracle's value, and additive in
+    the mask and in the point."""
     rng = np.random.default_rng(8)
     for p, k in ((2, 6), (3, 3), (5, 3)):
         size = p**k
-        for _ in range(60):
-            x, y, z = (int(v) for v in rng.integers(size, size=3))
-            assert dot(x, y, p, k) == o.dot(x, y, p, k)
-            left = dot(o.vadd(x, y, p, k), z, p, k)
-            assert left == (dot(x, z, p, k) + dot(y, z, p, k)) % p
+        ident = FuncTable(DomainParams(p, k, k), np.arange(size))
+        for _ in range(20):
+            b, c, x, y = (int(v) for v in rng.integers(size, size=4))
+            rb, rc, rbc = ident.components([b, c, o.vadd(b, c, p, k)]).astype(np.int64)
+            assert rb.tolist() == [o.dot(b, z, p, k) for z in range(size)]
+            assert np.array_equal(rbc, (rb + rc) % p)
+            assert rb[o.vadd(x, y, p, k)] == (rb[x] + rb[y]) % p
 
 
 def test_array_ops_match_scalar_loops():
-    """Lengths of one digit-group table (3, 3), of two or three groups (the
-    top group of (5, 7) times 5^6 overflows int16), and p = 257, which has no
-    table."""
+    """Lengths of one digit-group table (3, 3), of two groups ((3, 6), (5, 4),
+    (7, 3), (11, 4)) or three (the top group of (5, 7) times 5^6 overflows
+    int16), and p = 257, which has no table."""
     rng = np.random.default_rng(9)
-    cases = ((2, 4), (3, 3), (3, 6), (3, 11), (5, 7), (7, 5), (11, 4), (257, 2))
+    cases = ((2, 4), (3, 3), (3, 6), (5, 4), (7, 3), (3, 11), (5, 7), (7, 5), (11, 4), (257, 2))
+    groups = {(p, k): -(-k // domain._group_digits(p, k)) for p, k in cases if p < 257}
+    assert [pk for pk, g in groups.items() if g == 2] == [(3, 6), (5, 4), (7, 3), (11, 4)]
     for p, k in cases:
         size = p**k
         us = rng.integers(size, size=40).astype(np.int64)

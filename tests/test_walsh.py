@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 
 import oracles as o
 from plateau import _util, walsh
-from plateau.cyclotomic import CycInt
 from plateau.distribution import preimage_distribution
 from plateau.domain import DomainParams, FuncTable, value_dtype
-from plateau.errors import BudgetError
+from plateau.errors import BudgetError, InternalCheckError
 from plateau.walsh import (
     WalshVector,
     dft_p_axes,
     fwht_last_axis,
     signed_dtype,
     spectrum_rows,
-    walsh_point,
     walsh_row,
     walsh_rows_signs_p2,
     zero_column,
@@ -29,6 +27,23 @@ def random_table(p, n, m, seed):
     rng = np.random.default_rng(seed)
     pr = DomainParams(p, n, m)
     return FuncTable(pr, rng.integers(pr.codomain_size, size=pr.domain_size))
+
+
+def coords(vec):
+    """A vector's basis coordinates as one tuple per entry."""
+    return [tuple(c) for c in vec.basis_coords().tolist()]
+
+
+def summed(counts_seq):
+    """Exponent counts of the sum of the elements with these counts."""
+    return [sum(col) for col in zip(*counts_seq)]
+
+
+def oracle_coords(tbl, b, a):
+    """The basis coordinates of W(b, a) by direct summation."""
+    pr = tbl.params
+    counts = o.walsh_counts(pr.p, pr.n, pr.m, list(tbl), b, a)
+    return o.counts_canonical(counts, pr.p)
 
 
 # largest (n, m) drawn per p: value dtypes uint8 to uint32, and at p = 257
@@ -59,62 +74,37 @@ def test_component_values_match_dot(data):
     assert got.tolist() == [[o.dot(b, v, p, m) for v in vals] for b in bs]
 
 
-def test_walsh_point_matches_direct_sum_p2():
-    tbl = random_table(2, 4, 4, 2)
-    vals = list(tbl)
-    for b in range(16):
-        for a in range(16):
-            assert walsh_point(tbl, b, a) == o.walsh_int_p2(4, 4, vals, b, a)
-
-
-def test_walsh_point_matches_direct_sum_p3():
-    tbl = random_table(3, 2, 2, 3)
-    vals = list(tbl)
-    for b in range(9):
-        for a in range(9):
-            want = CycInt.from_exponent_coeffs(3, o.walsh_counts(3, 2, 2, vals, b, a))
-            assert walsh_point(tbl, b, a) == want
-
-
 def test_row_matches_points_p2():
     """The butterfly row agrees with direct summation on every entry."""
     tbl = random_table(2, 6, 6, 4)
     vals = list(tbl)
     for b in range(64):
-        row = walsh_row(tbl, b)
-        got = row.values()
+        got = walsh_row(tbl, b).basis_coords()[:, 0].tolist()
         for a in range(64):
             assert got[a] == o.walsh_int_p2(6, 6, vals, b, a), (b, a)
 
 
 def test_row_matches_points_p3():
     tbl = random_table(3, 3, 2, 5)
-    vals = list(tbl)
     for b in range(9):
-        row = walsh_row(tbl, b)
-        got = row.values()
+        got = coords(walsh_row(tbl, b))
         for a in range(27):
-            want = CycInt.from_exponent_coeffs(3, o.walsh_counts(3, 3, 2, vals, b, a))
-            assert got[a] == want, (b, a)
+            assert got[a] == oracle_coords(tbl, b, a), (b, a)
 
 
 def test_row_matches_points_p5():
     tbl = random_table(5, 2, 2, 6)
-    vals = list(tbl)
     for b in range(25):
-        row = walsh_row(tbl, b)
+        got = coords(walsh_row(tbl, b))
         for a in range(25):
-            want = CycInt.from_exponent_coeffs(5, o.walsh_counts(5, 2, 2, vals, b, a))
-            assert row.value(a) == want, (b, a)
+            assert got[a] == oracle_coords(tbl, b, a), (b, a)
 
 
 def test_parseval_sum_every_row():
     for p, n, m, seed in ((2, 6, 3, 7), (3, 3, 2, 8), (5, 2, 1, 9)):
         tbl = random_table(p, n, m, seed)
         for b in range(p**m):
-            row = walsh_row(tbl, b)
-            assert row.sq_total() == p ** (2 * n)
-            assert 0 < row.support_count() <= p**n
+            assert walsh_row(tbl, b).sq_total() == p ** (2 * n)
 
 
 def test_sq_modulus_profile_matches_oracle():
@@ -257,8 +247,7 @@ def test_identity_table_reaches_the_bound(n):
     assert np.array_equal(batch[0], want)
     zc = zero_column(preimage_distribution(tbl))
     assert zc.data.dtype == signed_dtype(2**n)
-    assert zc.value(0) == 1 << n
-    assert not np.any(zc.data[1:])
+    assert coords(zc) == [(1 << n,)] + [(0,)] * ((1 << n) - 1)
 
 
 @pytest.mark.parametrize("n", [9, 10])
@@ -274,8 +263,7 @@ def test_odd_p_identity_reaches_the_bound(n):
     assert int(ints[1]) == 3**n
     zc = zero_column(preimage_distribution(tbl))
     assert zc.data.dtype == signed_dtype(3**n)
-    assert zc.value(0) == 3**n
-    assert zc.support_count() == 1
+    assert coords(zc) == [(3**n, 0)] + [(0, 0)] * (3**n - 1)
 
 
 @pytest.mark.parametrize("n", [30, 31])
@@ -303,15 +291,11 @@ def test_batched_sign_rows_refuse_odd_p():
 def test_zero_column_matches_points():
     for p, n, m, seed in ((2, 6, 4, 13), (3, 3, 2, 14)):
         tbl = random_table(p, n, m, seed)
-        vals = list(tbl)
         zc = zero_column(preimage_distribution(tbl))
         assert len(zc) == p**m
+        got = coords(zc)
         for b in range(p**m):
-            if p == 2:
-                want = o.walsh_int_p2(n, m, vals, b, 0)
-            else:
-                want = CycInt.from_exponent_coeffs(p, o.walsh_counts(p, n, m, vals, b, 0))
-            assert zc.value(b) == want, b
+            assert got[b] == oracle_coords(tbl, b, 0), b
 
 
 def test_zero_column_sums():
@@ -320,7 +304,7 @@ def test_zero_column_sums():
         vals = list(tbl)
         zc = zero_column(preimage_distribution(tbl))
         fiber0 = o.preimage_counts(p, n, m, vals)[0]
-        assert zc.total() == p**m * fiber0
+        assert walsh._exact_coords(p, [zc]) == [p**m * fiber0] + [0] * (p - 2)
         total = [0] * p
         for b in range(p**m):
             c = o.walsh_counts(p, n, m, vals, b, 0)
@@ -337,7 +321,7 @@ def test_spectrum_rows_cover_all_masks_in_order():
         assert np.array_equal(row.data, single.data)
 
 
-# largest n per p for the property test: p^n <= 81 keeps walsh_point cheap
+# largest n per p for the property test: p^n <= 81 keeps the direct sums cheap
 _MAX_N = {2: 6, 3: 4, 5: 2, 7: 2}
 
 
@@ -356,35 +340,38 @@ def tables_and_masks(draw):
 @given(tables_and_masks())
 def test_walsh_vector_matches_walsh_point(case):
     """Every accessor of a row and of the zero column, entry by entry against
-    walsh_point and CycInt arithmetic."""
+    the pointwise direct sums of oracles.walsh_counts and the oracles'
+    exponent-count arithmetic; a sum of fourth powers that is not a rational
+    integer (one row at p >= 5 can have one) raises InternalCheckError."""
     tbl, b = case
     pr = tbl.params
-    p = pr.p
+    p, n, m = pr.p, pr.n, pr.m
+    vals = list(tbl)
     vectors = (
-        (walsh_row(tbl, b), [walsh_point(tbl, b, a) for a in range(pr.domain_size)]),
+        (walsh_row(tbl, b), [o.walsh_counts(p, n, m, vals, b, a) for a in range(pr.domain_size)]),
         (
             zero_column(preimage_distribution(tbl)),
-            [walsh_point(tbl, c, 0) for c in range(pr.codomain_size)],
+            [o.walsh_counts(p, n, m, vals, c, 0) for c in range(pr.codomain_size)],
         ),
     )
-    for vec, want in vectors:
-        assert vec.values() == want
-        coords = [[w] if p == 2 else list(w.coeffs) for w in want]
-        assert vec.basis_coords().tolist() == coords
+    for vec, counts in vectors:
+        assert coords(vec) == [o.counts_canonical(c, p) for c in counts]
+        values = [o.rational_value(c, p) for c in counts]
         rational, ints = vec.integers()
-        for i, w in enumerate(want):
-            is_int = p == 2 or w.is_rational()
-            assert bool(rational[i]) == is_int
-            assert int(ints[i]) == (int(w) if p == 2 else w.as_integer() if is_int else 0)
-        sq_want = [w * w if p == 2 else w.sq_modulus() for w in want]
+        assert rational.tolist() == [v is not None for v in values]
+        assert ints.tolist() == [0 if v is None else v for v in values]
+        sq_counts = [o.sq_modulus_counts(c, p) for c in counts]
         sq = vec.sq_moduli()
-        assert sq.values() == sq_want
-        assert vec.sq_total() == sum(sq_want)
-        # |W|^2 is real, so its ring square is |W|^4
-        assert sq.sq_total() == sum(s * s for s in sq_want)
-        assert vec.total() == sum(want)
-        assert vec.support_count() == sum(1 for w in want if w != 0)
-    assert vectors[0][0].sq_total() == p ** (2 * pr.n)
+        assert coords(sq) == [o.counts_canonical(c, p) for c in sq_counts]
+        assert vec.sq_total() == o.rational_value(summed(sq_counts), p)
+        # |W|^2 is real, so its squared modulus is |W|^4
+        fourth = o.rational_value(summed(o.sq_modulus_counts(c, p) for c in sq_counts), p)
+        if fourth is None:
+            with pytest.raises(InternalCheckError):
+                sq.sq_total()
+        else:
+            assert sq.sq_total() == fourth
+    assert vectors[0][0].sq_total() == p ** (2 * n)
 
 
 def test_p2_fourth_powers_past_int64():
@@ -393,13 +380,13 @@ def test_p2_fourth_powers_past_int64():
     data = fourth_power_data()
     vec = WalshVector(2, 16, data)
     ints = [int(x) for x in data.tolist()]
+    assert sum(1 for x in ints if x) == 3510
     assert vec.sq_total() == sum(x * x for x in ints)
     sq = vec.sq_moduli()
-    assert sq.values() == [x * x for x in ints]
+    assert sq.basis_coords()[:, 0].tolist() == [x * x for x in ints]
     assert not sq._fits_int64()
     assert sq.sq_total() == sum(x**4 for x in ints) == 3510 << 64
-    assert sq.total() == sum(x * x for x in ints)
-    assert vec.support_count() == 3510
+    assert walsh._exact_coords(2, [sq]) == [sum(x * x for x in ints)]
 
 
 @st.composite
@@ -434,7 +421,8 @@ def test_odd_rows_and_zero_column_match_walsh_counts(case):
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("n", [2, 40])
 def test_sq_moduli_match_cycint(p, n):
-    """sq_moduli against W * conj(W) in CycInt arithmetic, on the int64 path
+    """sq_moduli against W * conj(W) in cyclotomic-integer arithmetic
+    (oracles.sq_modulus_counts), on the int64 path
     (n = 2) and on the object path (n = 40, where p^(2n+3) >= 2^62).  The
     entries are synthetic exponent counts; at n = 40 they reach 2^40."""
     rng = np.random.default_rng(30 + p)
@@ -443,8 +431,8 @@ def test_sq_moduli_match_cycint(p, n):
     assert vec._fits_int64() == (n == 2)
     got = vec.sq_moduli()
     assert got.data.dtype == (np.int64 if n == 2 else object)
-    want = [w * w.conj() for w in vec.values()]
-    assert got.values() == want
+    want = [o.counts_canonical(o.sq_modulus_counts(c, p), p) for c in data.tolist()]
+    assert coords(got) == want
 
 
 def dft_with_scratch(monkeypatch, p, axes, scratch):
@@ -522,7 +510,7 @@ def test_large_p_dft_stays_in_scratch():
 
 def test_large_p_dft_builds_indices_once():
     """At p = 211 every frequency set gathers windows at one cached (p, p)
-    table of starts: a whole random row matches walsh_point, the transforms
+    table of starts: a whole random row matches the direct sums, the transforms
     build at most one table per sign, and the per-call take index of small p
     is never built."""
     p = 211
@@ -530,8 +518,8 @@ def test_large_p_dft_builds_indices_once():
     walsh._window_starts.cache_clear()
     walsh._dft_take_index.cache_clear()
     for b in (5, 6):
-        got = walsh_row(tbl, b).values()
-        assert got == [walsh_point(tbl, b, a) for a in range(p)]
+        got = coords(walsh_row(tbl, b))
+        assert got == [oracle_coords(tbl, b, a) for a in range(p)]
     zero_column(preimage_distribution(tbl))
     assert walsh._window_starts.cache_info().misses == 2  # signs -1 and +1
     assert walsh._dft_take_index.cache_info().misses == 0
@@ -575,18 +563,28 @@ def walsh_vectors(draw):
 )
 def test_sliced_sums_match_python_ints(case):
     """sq_total slice by slice, of a vector and of its squared moduli (the
-    fourth powers at p = 2), equals the sum of Python-int or CycInt squares."""
+    fourth powers at p = 2), equals the sum of Python-int squares at p = 2
+    and of the oracles' squared moduli at odd p; a sum that is not a rational
+    integer raises InternalCheckError."""
     vec, scratch = case
-    vals = vec.values()
-    sq = [w * w if vec.p == 2 else w.sq_modulus() for w in vals]
+    p = vec.p
+    if p == 2:
+        ints = vec.data.tolist()
+        want = [sum(x * x for x in ints), sum(x**4 for x in ints)]
+    else:
+        sq = [o.sq_modulus_counts(c, p) for c in vec.data.tolist()]
+        fourth = [o.sq_modulus_counts(c, p) for c in sq]
+        want = [o.rational_value(summed(cs), p) for cs in (sq, fourth)]
+        if p == 3:
+            # |w|^2 lies in the real subfield of Q(zeta_3), which is Q
+            assert None not in want
     with mock.patch.object(_util, "SCRATCH", scratch):
-        got = vec.sq_total()
-        got_fourth = vec.sq_moduli().sq_total()
-    assert got == sum(sq)
-    assert got_fourth == sum(s * s for s in sq)
-    if vec.p <= 3:
-        # |w|^2 is rational in Z[zeta_3], and a rational total is an int
-        assert isinstance(got, int) and isinstance(got_fourth, int)
+        for v, w in zip((vec, vec.sq_moduli()), want):
+            if w is None:
+                with pytest.raises(InternalCheckError):
+                    v.sq_total()
+            else:
+                assert v.sq_total() == w
 
 
 def test_sq_total_widens_narrow_dtypes_across_slices():

@@ -25,7 +25,8 @@ R = TypeVar("R")
 # entries); 2^16 keeps a step's temporaries inside a core's L2 cache
 SCRATCH = 1 << 16
 
-# entries of one batch of spectrum rows (profile, fourth moment): at most
+# entries of one batch of spectrum rows (profile, fourth moment, the p = 2
+# spectral difference rows): at most
 # max(1, ROWS_SCRATCH // p^n) rows.  Larger than SCRATCH for fixed per-batch
 # costs: 2^16-entry batches took the p = 2 profile of x^3/F_2^12 from 137 to 230 ms
 ROWS_SCRATCH = 1 << 22

@@ -315,6 +315,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 # check-theorem
 
 def _cmd_check_theorem(args: argparse.Namespace) -> int:
+    # an unwritable verdict path fails before the check, not after it
+    if args.output:
+        _check_writable(args.output)
     tag = args.paper_ref
     kv, rest = _split_kv(args.args)
     opts = AnalysisOptions(

@@ -1,14 +1,17 @@
 """Difference distribution tables, uniformity, and fourth-moment identities.
 
 A DDT row for the input difference c counts solutions of F(x+c) - F(x) = d.
-One kernel, ddt_rows, serves every p: the index x - c and the difference
-F(x) - F(x - c) both come from domain.vec_sub_arrays.  Rows are produced
-lazily, a chunk of input differences at a time, so summaries never hold more
-than _util.SCRATCH counts or gathered values at once (or one row, when p^n or
-p^m alone is larger).  The fourth moment of the Walsh spectrum is computed on
-the differential side, p^(n+m) * sum of squared difference-map fiber sizes,
-which equals the spectral sum over all (b, a); the spectral side is
-recomputed directly as a cross-check whenever the table is small enough.
+ddt_rows yields every row once, in ascending c, by one of three kernels: the
+digit kernel at odd p, and at p = 2 the cheaper of two exact routes, half
+the domain or the squared Walsh spectrum (the rule and the bounds are in its
+docstring).  Rows are produced lazily, a block of input differences at a
+time, so the digit and half kernels never hold more than _util.SCRATCH
+counts or gathered values at once (or one row, when that alone is larger),
+and the spectral route at most _util.ROWS_SCRATCH values.  The fourth moment
+of the Walsh spectrum is computed on the differential side, p^(n+m) * sum
+of squared difference-map fiber sizes, which equals the spectral sum over
+all (b, a); the spectral side is recomputed directly as a cross-check
+whenever the table is small enough.
 """
 
 from __future__ import annotations
@@ -18,28 +21,54 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from . import _util
+from . import _util, walsh
 from .domain import DomainParams, FuncTable, vec_sub_arrays
 from .errors import BudgetError, InternalCheckError
 from .walsh import WalshVector, rational_sum, walsh_row, walsh_rows_signs_p2
 
 
 def ddt_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
-    """(c, row) pairs for every c != 0, in ascending c order.
+    """(c, row) pairs for every c != 0, in ascending c order, as int64 rows.
 
     Row c counts F(x) - F(x - c) = d over x, which after x -> x - c is the
-    count of F(x + c) - F(x) = d.  Rows are computed in chunks of input
-    differences, each chunk's rows sharing one block; callers must not hold
+    count of F(x + c) - F(x) = d.  Rows are computed in blocks of input
+    differences, each block's rows sharing one array; callers must not hold
     references across iterations (copy if needed).
+
+    - Odd p, the digit kernel: the index x - c and the difference
+      F(x) - F(x - c) both come from domain.vec_sub_arrays, in blocks of
+      SCRATCH // max(p^n, p^m) rows.
+    - p = 2, half the domain (_half_rows): x and x ^ c give the same
+      difference, so only the 2^(n-1) inputs with c's top bit clear are
+      gathered and the counts doubled, in blocks of
+      SCRATCH // max(2^(n-1), 2^m) rows.
+    - p = 2, spectral (_spectral_rows): 2^(n+m) DDT(c, d) is the sum over
+      (b, a) of (-1)^(a.c + b.d) W(b, a)^2, two Walsh transforms of the
+      squared spectrum, the second in blocks of SCRATCH // 2^m rows.
+
+    The p = 2 rule (_spectral_route) takes the spectral route while its
+    transforms cost less, (n + m) 2^m < 2^n, its 2^(n+m) values fit
+    _util.ROWS_SCRATCH, and their bound 2^(2n+m) fits int64.
+
+    Row checks: diff_summary checks that every row sums to p^n, which the
+    digit and half kernels meet by construction and the spectral route only
+    when the b = 0 spectrum row is right.  Every p = 2 entry is even.  The
+    half route is even by construction, so the first row of each top bit is
+    recounted over the whole domain instead (n recounts a pass).  The
+    spectral route checks that each block is a multiple of 2^(n+m+1) and
+    recounts the block's last row with a direct gather, so the fourth
+    moment's differential side does not rest on the Walsh rows that its
+    spectral side also uses.
     """
     pr = table.params
     p, n, m = pr.p, pr.n, pr.m
+    if p == 2:
+        yield from (_spectral_rows if _spectral_route(n, m) else _half_rows)(table)
+        return
     pn, pm = pr.domain_size, pr.codomain_size
     # a chunk of input differences covers at most SCRATCH gathered values
     # and SCRATCH bincount counts, or one row
     chunk = max(1, _util.SCRATCH // max(pn, pm))
-    # values and indices in the narrowest dtypes, which the XOR of
-    # vec_sub_arrays keeps at p = 2; only the bincount key is int64 at every p
     vals = table.values
     xs = np.arange(pn, dtype=np.min_scalar_type(pn - 1))
     offsets = np.arange(chunk, dtype=np.int64)[:, None] * pm
@@ -52,6 +81,91 @@ def ddt_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
         key += offsets[: hi - lo]
         rows = np.bincount(key.reshape(-1), minlength=(hi - lo) * pm)
         yield from zip(range(lo, hi), rows.reshape(hi - lo, pm))
+
+
+def _spectral_route(n: int, m: int) -> bool:
+    """The one p = 2 route rule: the spectral route when its transforms,
+    about (n + m) 2^(n+m) butterfly steps, cost less than the half route's
+    2^(2n-1) gathered differences, its values fit one batch of spectrum
+    rows, and their bound fits int64."""
+    return (
+        (n + m) << m < 1 << n
+        and 1 << (n + m) <= _util.ROWS_SCRATCH
+        and _util.fits_int64(1 << (2 * n + m))
+    )
+
+
+def _recount(vals: np.ndarray, c: int, row: np.ndarray) -> None:
+    """Count row c over the whole domain with one direct gather and raise
+    InternalCheckError unless it equals `row`."""
+    xs = np.arange(vals.size, dtype=np.min_scalar_type(vals.size - 1))
+    want = np.bincount((vals.take(xs ^ c) ^ vals).astype(np.int64), minlength=row.size)
+    if not np.array_equal(row, want):
+        raise InternalCheckError(f"DDT row {c} differs from its full-domain recount")
+
+
+def _half_index(n: int, t: int) -> np.ndarray:
+    """The 2^(n-1) inputs x < 2^n whose bit t is clear, ascending."""
+    j = np.arange(1 << (n - 1), dtype=np.min_scalar_type((1 << n) - 1))
+    return (j >> t << (t + 1)) | (j & ((1 << t) - 1))
+
+
+def _half_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
+    """p = 2 rows from half the domain.  Exactly one of x and x ^ c has
+    bit t, c's top set bit, clear, so row c is twice the count over those
+    x.  The rows with top bit t share one half index and F at it, and no
+    block crosses a top bit; the first row of each is recounted."""
+    pr = table.params
+    n, pm = pr.n, pr.codomain_size
+    chunk = max(1, _util.SCRATCH // max(1 << (n - 1), pm))
+    vals = table.values
+    offsets = np.arange(chunk, dtype=np.int64)[:, None] * pm
+    for t in range(n):
+        half = _half_index(n, t)
+        f_half = vals.take(half)
+        for lo in range(1 << t, 2 << t, chunk):
+            hi = min(lo + chunk, 2 << t)
+            cs = np.arange(lo, hi, dtype=half.dtype)[:, None]
+            # row k of the block counts into bins k * 2^m ... (k + 1) * 2^m - 1
+            key = (vals.take(half ^ cs) ^ f_half).astype(np.int64)
+            key += offsets[: hi - lo]
+            rows = np.bincount(key.reshape(-1), minlength=(hi - lo) * pm).reshape(hi - lo, pm)
+            rows <<= 1
+            if lo == 1 << t:
+                _recount(vals, lo, rows[0])
+            yield from zip(range(lo, hi), rows)
+
+
+def _spectral_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
+    """p = 2 rows from the spectrum.  With A_b(c) = sum_x (-1)^(b.D_cF(x)),
+    the transform of W(b, .)^2 along a is 2^n A_b(c), and the transform of
+    that along b is 2^(n+m) DDT(c, d).  Every value, partial sums included,
+    is at most 2^(2n+m) in magnitude and is held in signed_dtype of that.
+    A set bit below n + m is a transform fault and bit n + m an odd entry.
+    The transforms are called through the walsh module, whose names count
+    as spectrum work, not as fourth-moment rows."""
+    pr = table.params
+    n, m, pm = pr.n, pr.m, pr.codomain_size
+    dtype = walsh.signed_dtype(1 << (2 * n + m))
+    sq = walsh.walsh_rows_signs_p2(table, np.arange(pm)).astype(dtype)
+    sq *= sq
+    # row b becomes 2^n A_b(c) over c
+    walsh.fwht_last_axis(sq)
+    block = max(1, _util.SCRATCH // pm)
+    low = (1 << (n + m + 1)) - 1
+    for lo in range(0, pr.domain_size, block):
+        hi = min(lo + block, pr.domain_size)
+        rows = np.ascontiguousarray(sq[:, lo:hi].T)
+        walsh.fwht_last_axis(rows)
+        if np.any(rows & low):
+            raise InternalCheckError(
+                f"spectral DDT rows {lo}..{hi - 1} are not multiples of 2^{n + m + 1}"
+            )
+        rows >>= n + m
+        rows = rows.astype(np.int64, copy=False)
+        _recount(table.values, hi - 1, rows[-1])
+        first = max(lo, 1)
+        yield from zip(range(first, hi), rows[first - lo :])
 
 
 def apn_shape(params: DomainParams) -> bool:
@@ -82,8 +196,6 @@ def diff_summary(table: FuncTable) -> DiffSummary:
         total = int(row.sum(dtype=np.int64))
         if total != pn:
             raise InternalCheckError(f"DDT row {c} sums to {total}, expected {pn}")
-        if pr.p == 2 and bool(np.any(row & 1)):
-            raise InternalCheckError(f"DDT row {c} has an odd entry at p = 2")
         m = int(row.max())
         delta = max(delta, m)
         lowest = min(lowest, m)

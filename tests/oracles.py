@@ -3,11 +3,15 @@
 Everything here is deliberately naive: digit loops, dict counting, direct
 summation over the whole domain. Keep it that way. These functions are the
 ground truth the package is tested against, so they must not share any code
-with the package beyond plain integers.
+with the package beyond plain integers.  The quadratic oracle alone works on
+numpy arrays, one entry per input, because its sizes are out of reach of
+loops; it still shares no code with the package.
 """
 
 import cmath
 import functools
+
+import numpy as np
 
 
 def digits(x, p, k):
@@ -169,6 +173,51 @@ def ddt_table(p, n, m, vals):
             row[vsub(vals[xc], vals[x], p, m)] += 1
         rows.append(row)
     return rows
+
+
+def _linear_images(cols, n):
+    """The image of every x < 2^n under the F_2-linear map whose column i is
+    the bit mask cols[i]: the XOR of cols[i] over the set bits i of x."""
+    out = np.zeros(1 << n, dtype=np.int64)
+    for i, col in enumerate(cols):
+        out[1 << i : 2 << i] = out[: 1 << i] ^ col
+    return out
+
+
+def quadratic_p2(n, m, seed):
+    """A random quadratic F: F_2^n -> F_2^m and the rank behind each of its
+    difference rows.
+
+    F_j(x) = x^T Q_j x + L_j . x with Q_j strictly upper triangular.  Then
+    F_j(x + c) + F_j(x) = ((Q_j + Q_j^T) c) . x + F_j(c), so the difference
+    map of c is affine in x with the m x n matrix M_c whose row j is
+    (Q_j + Q_j^T) c, and row c of the difference table has 2^rank(M_c)
+    nonzero entries, each 2^(n - rank(M_c)).  The rank over F_2 comes from
+    the 2^(m - rank) XOR combinations of M_c's rows that vanish, counted in
+    Gray-code order for every c at once.  Returns (values, ranks), int64
+    arrays indexed by x and by c."""
+    rng = np.random.default_rng(seed)
+    xs = np.arange(1 << n, dtype=np.int64)
+    weights = 1 << np.arange(n)
+    vals = np.zeros(1 << n, dtype=np.int64)
+    sym_rows = []
+    for j in range(m):
+        q = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+        lin = int(rng.integers(0, 1 << n))
+        q_cols = [int(col @ weights) for col in q.T]
+        # x^T Q x is the parity of x AND Q x; bitwise_count gives uint8,
+        # which is widened before the shift by j
+        ones = np.bitwise_count(xs & _linear_images(q_cols, n)) + np.bitwise_count(xs & lin)
+        vals |= (ones & 1).astype(np.int64) << j
+        sym_cols = [int(col @ weights) for col in (q + q.T).T]
+        sym_rows.append(_linear_images(sym_cols, n))
+    vanishing = np.ones(1 << n, dtype=np.int64)  # the empty combination
+    acc = np.zeros(1 << n, dtype=np.int64)
+    for k in range(1, 1 << m):
+        # Gray code: step k flips row j, the lowest set bit of k
+        acc ^= sym_rows[(k & -k).bit_length() - 1]
+        vanishing += acc == 0
+    return vals, m - np.bitwise_count(vanishing - 1).astype(np.int64)
 
 
 def fourth_power_sum(p, counts_seq):

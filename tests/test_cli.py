@@ -253,6 +253,21 @@ def test_unwritable_output_fails_before_the_analysis(cube_file, tmp_path, capsys
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_check_theorem_unwritable_output_fails_before_the_check(cube_file, tmp_path, capsys,
+                                                                monkeypatch, where):
+    """check-theorem with a verdict path in a missing directory or naming a
+    directory exits 2 with one error line after 0 run_check calls."""
+    calls = []
+    monkeypatch.setattr(cli, "run_check", lambda *args: calls.append(args))
+    dest = {"missing": tmp_path / "no-such-dir" / "v.json", "directory": tmp_path}[where]
+    code, out, err = run(capsys, "check-theorem", "--paper-ref", "platdto1", cube_file,
+                         "-o", str(dest))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno") and err.count("\n") == 1
+    assert calls == []
+
+
 def test_analyze_rejects_header_larger_than_file(tmp_path, capsys):
     # 2^40 entries cannot fit in a 4-byte body; refused before any allocation
     path = tmp_path / "huge.txt"

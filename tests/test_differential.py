@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as o
-from plateau import _util, walsh
+from plateau import _util, differential, walsh
 from plateau.constructions import monomial
 from plateau.differential import (
+    _spectral_route,
     _walsh_fourth_sum_all,
     ddt_rows,
     diff_summary,
@@ -100,7 +101,9 @@ def test_odd_ddt_rows_across_chunks(monkeypatch, p, n, m):
 
 
 def test_p2_ddt_rows_across_chunks(monkeypatch):
-    """Chunks of 3 input differences over the 31 rows: the last is partial."""
+    """(2, 5, 3) takes the half route, whose blocks of 96 // 16 = 6 input
+    differences stay inside one top bit: the 16 rows of top bit 4 end in a
+    partial block."""
     tbl = random_table(2, 5, 3, 61)
     want = o.ddt_table(2, 5, 3, list(tbl))
     monkeypatch.setattr(_util, "SCRATCH", 3 * 2**5)
@@ -122,13 +125,129 @@ def test_p2_ddt_rows_at_dtype_edges(p, n, m):
 
 
 def test_p2_ddt_rows_chunk_counts_the_wider_side(monkeypatch):
-    """The chunk rule divides the scratch by max(p^n, p^m): with 2^10 entries
-    and 2^12 counts per row, every (2, 3, 12) row has a block of its own."""
+    """The half route divides the scratch by max(p^n / 2, p^m): with 2^10
+    entries and 2^12 counts per row, every (2, 3, 12) row has a block of its
+    own."""
     tbl = random_table(2, 3, 12, 63)
     monkeypatch.setattr(_util, "SCRATCH", 1 << 10)
     for c, row in ddt_rows(tbl):
         assert row.base.size == 1 << 12, c
         assert np.array_equal(row, p2_row(tbl, c)), c
+
+
+ROUTE_SHAPES = {
+    side: [(n, m) for n in range(1, 10) for m in range(1, 10) if _spectral_route(n, m) == side]
+    for side in (False, True)
+}
+
+
+@st.composite
+def p2_route_cases(draw):
+    """A random p = 2 table on either side of the route rule, with a
+    scratch size from one entry to the whole (2^n, 2^m) table, so that
+    blocks hold one row, several rows with a partial last block, or every
+    row."""
+    n, m = draw(st.sampled_from(ROUTE_SHAPES[draw(st.booleans())]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tbl = FuncTable(DomainParams(2, n, m), rng.integers(1 << m, size=1 << n))
+    return tbl, draw(st.integers(1, 1 << (n + m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p2_route_cases())
+def test_p2_routes_match_direct_counts(case):
+    """Both p = 2 routes give the rows of the loop oracle (p^n <= 32) or of
+    p2_row, in ascending c, whatever the block size."""
+    tbl, scratch = case
+    n, m = tbl.params.n, tbl.params.m
+    if n <= 5:
+        want = [np.array(row) for row in o.ddt_table(2, n, m, list(tbl))]
+    else:
+        want = [p2_row(tbl, c) for c in range(1 << n)]
+    with mock.patch.object(_util, "SCRATCH", scratch):
+        rows = [(c, row.copy()) for c, row in ddt_rows(tbl)]
+    assert [c for c, _ in rows] == list(range(1, 1 << n))
+    for c, row in rows:
+        assert row.dtype == np.int64 and np.array_equal(row, want[c]), c
+
+
+@pytest.mark.parametrize("n, m", [(14, 4), (16, 4), (17, 2)])
+def test_spectral_route_at_large_n(n, m):
+    """The spectral route past the sizes the property draws: the first and
+    last row of every block, and 32 random rows, equal p2_row."""
+    assert _spectral_route(n, m)
+    tbl = random_table(2, n, m, 65 + n)
+    block = _util.SCRATCH >> m
+    firsts = np.arange(0, 1 << n, block)
+    check = {*firsts[1:], *(firsts + block - 1), 1}
+    check |= set(np.random.default_rng(n).integers(1, 1 << n, size=32).tolist())
+    seen = 0
+    for c, row in ddt_rows(tbl):
+        if c in check:
+            assert np.array_equal(row, p2_row(tbl, c)), c
+            seen += 1
+    assert seen == len(check)
+
+
+def test_half_route_recount_catches_a_wrong_half_index(monkeypatch):
+    """Top bit 5 given the half index of top bit 4: row 32 then counts the
+    pairs {x, x ^ 32} with bit 4 clear twice and the others never.  The recount of the
+    group's first row raises before any row of the group is yielded, and
+    every row yielded before it is right."""
+    tbl = random_table(2, 8, 8, 66)
+    assert not _spectral_route(8, 8)
+    right = differential._half_index
+    monkeypatch.setattr(differential, "_half_index", lambda n, t: right(n, t - (t == 5)))
+    seen = []
+    with pytest.raises(InternalCheckError, match="DDT row 32 differs from its full-domain recount"):
+        for c, row in ddt_rows(tbl):
+            seen.append(c)
+            assert np.array_equal(row, p2_row(tbl, c)), c
+    assert seen == list(range(1, 32))
+
+
+@pytest.mark.parametrize(
+    "delta, match",
+    [
+        (2, "not multiples of 2\\^12"),
+        (1 << 9, "not multiples of 2\\^12"),
+        (1 << 10, "DDT row 255 differs from its full-domain recount"),
+    ],
+)
+def test_spectral_route_checks_catch_a_wrong_walsh_value(monkeypatch, delta, match):
+    """One Walsh value W(b, a) of a (2, 8, 3) table, b != 0 and W = 2 mod 4,
+    off by delta moves every 2^11 DDT(c, d) by delta (2W + delta), never by
+    0.  By
+    2 that leaves a bit below 2^11 set; by 2^9 it sets bit 11, an odd DDT
+    entry; by 2^10 it is a multiple of 2^12 that the bit check cannot see,
+    and the recount of the block's last row raises.  No row is yielded."""
+    n, m = 8, 3
+    tbl = random_table(2, n, m, 69)
+    assert _spectral_route(n, m)
+    right = walsh.walsh_rows_signs_p2
+
+    def off_by_delta(table, bs):
+        rows = right(table, bs)
+        b, a = np.argwhere(rows[1:] % 4 == 2)[0]
+        rows[1 + b, a] += delta
+        return rows
+
+    monkeypatch.setattr(walsh, "walsh_rows_signs_p2", off_by_delta)
+    with pytest.raises(InternalCheckError, match=match):
+        next(ddt_rows(tbl))
+
+
+@pytest.mark.parametrize("n, m, spectral", [(14, 4, True), (11, 11, False)])
+def test_quadratic_rows_match_the_rank_oracle(n, m, spectral):
+    """A random quadratic map's difference map at c is affine with matrix
+    M_c, so row c has 2^rank(M_c) nonzero entries, each 2^(n - rank(M_c)),
+    on either route; the ranks differ between rows."""
+    assert _spectral_route(n, m) == spectral
+    vals, ranks = o.quadratic_p2(n, m, 70 + n)
+    assert len(set(ranks[1:].tolist())) > 1
+    for c, row in ddt_rows(FuncTable(DomainParams(2, n, m), vals)):
+        nonzero, r = row[row != 0], int(ranks[c])
+        assert nonzero.size == 1 << r and np.all(nonzero == 1 << (n - r)), c
 
 
 def test_cube_map_is_apn():

@@ -244,10 +244,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             require_budget(table.params, opts, "diff")
         except Withheld:
             ddt_csv = None
-    # an unwritable output fails before the analysis, not after it
-    for path in (args.output, ddt_csv):
-        if path:
-            _check_writable(path)
+    # a CSV the budget allows is refused before the analysis, like -o
+    if ddt_csv:
+        _check_writable(ddt_csv)
     report, code = run_analysis(table, opts)
     if ddt_csv:
         _write_ddt_csv(table, ddt_csv)
@@ -315,9 +314,6 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 # check-theorem
 
 def _cmd_check_theorem(args: argparse.Namespace) -> int:
-    # an unwritable verdict path fails before the check, not after it
-    if args.output:
-        _check_writable(args.output)
     tag = args.paper_ref
     kv, rest = _split_kv(args.args)
     opts = AnalysisOptions(
@@ -430,6 +426,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
+        # every subcommand refuses an unwritable -o before any work
+        if args.output:
+            _check_writable(args.output)
         return args.fn(args)
     except (ValueError, OSError) as e:
         # bad input (FileFormatError and ConstructionError are ValueErrors)

@@ -1,13 +1,11 @@
 """Difference distribution tables, uniformity, and fourth-moment identities.
 
 A DDT row for the input difference c counts solutions of F(x+c) - F(x) = d.
-ddt_rows yields every row once, in ascending c, by one of three kernels: the
-digit kernel at odd p, and at p = 2 the cheaper of two exact routes, half
-the domain or the squared Walsh spectrum (the rule and the bounds are in its
-docstring).  Rows are produced lazily, a block of input differences at a
-time, so the digit and half kernels never hold more than _util.SCRATCH
-counts or gathered values at once (or one row, when that alone is larger),
-and the spectral route at most _util.ROWS_SCRATCH values.  The fourth moment
+ddt_rows yields every row once, in ascending c, a block of input
+differences at a time, from one counted kernel or, at p = 2, from the
+squared Walsh spectrum, and checks every row's sum, so diff_summary, the
+fourth moment and the --ddt-full CSV all read sum-checked rows (the routes,
+their memory bounds and the checks are in its docstring).  The fourth moment
 of the Walsh spectrum is computed on the differential side, p^(n+m) * sum
 of squared difference-map fiber sizes, which equals the spectral sum over
 all (b, a); the spectral side is recomputed directly as a cross-check
@@ -33,54 +31,66 @@ def ddt_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
     Row c counts F(x) - F(x - c) = d over x, which after x -> x - c is the
     count of F(x + c) - F(x) = d.  Rows are computed in blocks of input
     differences, each block's rows sharing one array; callers must not hold
-    references across iterations (copy if needed).
+    references across iterations (copy if needed).  The blocks come from
 
-    - Odd p, the digit kernel: the index x - c and the difference
-      F(x) - F(x - c) both come from domain.vec_sub_arrays, in blocks of
-      SCRATCH // max(p^n, p^m) rows.
-    - p = 2, half the domain (_half_rows): x and x ^ c give the same
-      difference, so only the 2^(n-1) inputs with c's top bit clear are
-      gathered and the counts doubled, in blocks of
-      SCRATCH // max(2^(n-1), 2^m) rows.
-    - p = 2, spectral (_spectral_rows): 2^(n+m) DDT(c, d) is the sum over
-      (b, a) of (-1)^(a.c + b.d) W(b, a)^2, two Walsh transforms of the
-      squared spectrum, the second in blocks of SCRATCH // 2^m rows.
+    - the counted kernel, _counted_rows, in blocks of SCRATCH // max(|xs|,
+      p^m) rows over the inputs xs: every input at odd p, and at p = 2 the
+      half of the domain with c's top bit clear, counts doubled
+      (_half_rows);
+    - or at p = 2 the spectral route, _spectral_rows, which _spectral_route
+      takes while its transforms cost less, (n + m) 2^m < 2^n, its 2^(n+m)
+      values fit _util.ROWS_SCRATCH, and their bound 2^(2n+m) fits int64.
 
-    The p = 2 rule (_spectral_route) takes the spectral route while its
-    transforms cost less, (n + m) 2^m < 2^n, its 2^(n+m) values fit
-    _util.ROWS_SCRATCH, and their bound 2^(2n+m) fits int64.
-
-    Row checks: diff_summary checks that every row sums to p^n, which the
-    digit and half kernels meet by construction and the spectral route only
-    when the b = 0 spectrum row is right.  Every p = 2 entry is even.  The
-    half route is even by construction, so the first row of each top bit is
-    recounted over the whole domain instead (n recounts a pass).  The
-    spectral route checks that each block is a multiple of 2^(n+m+1) and
-    recounts the block's last row with a direct gather, so the fourth
-    moment's differential side does not rest on the Walsh rows that its
-    spectral side also uses.
+    Checks: here one sum per block, that every row (c = 0 too, on the
+    spectral route) sums to p^n, catches a count spilled into another row's
+    bins and a wrong b = 0 spectrum row.  Doubled counts sum right by
+    construction, so _half_rows recounts the first row of each top bit over
+    the whole domain, which catches a wrong half index.  _spectral_rows
+    checks that each block is a multiple of 2^(n+m+1), which catches a
+    transform fault or an odd entry, and recounts the block's last row
+    directly, so the fourth moment's differential side does not rest on the
+    Walsh rows that its spectral side also uses.
     """
     pr = table.params
-    p, n, m = pr.p, pr.n, pr.m
-    if p == 2:
-        yield from (_spectral_rows if _spectral_route(n, m) else _half_rows)(table)
-        return
-    pn, pm = pr.domain_size, pr.codomain_size
-    # a chunk of input differences covers at most SCRATCH gathered values
-    # and SCRATCH bincount counts, or one row
-    chunk = max(1, _util.SCRATCH // max(pn, pm))
+    pn = pr.domain_size
+    if pr.p == 2:
+        blocks = (_spectral_rows if _spectral_route(pr.n, pr.m) else _half_rows)(table)
+    else:
+        blocks = _counted_rows(table, np.arange(pn, dtype=np.min_scalar_type(pn - 1)), 1, pn)
+    for lo, rows in blocks:
+        # no int64 overflow, even on a fault: a row's counts total at most
+        # 2 p^n, and a spectral row is 2^m values of 63 - n - m bits
+        totals = rows.sum(axis=1)
+        wrong = totals != pn
+        if wrong.any():
+            k = int(wrong.argmax())
+            raise InternalCheckError(f"DDT row {lo + k} sums to {totals[k]}, expected {pn}")
+        first = max(lo, 1)
+        yield from zip(range(first, lo + len(rows)), rows[first - lo :])
+
+
+def _counted_rows(
+    table: FuncTable, xs: np.ndarray, first: int, stop: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, rows) blocks for the input differences first <= c < stop: row
+    lo + k counts F(x) - F(x - c) = d over the inputs xs only, both
+    subtractions by domain.vec_sub_arrays (XOR at p = 2).  A block covers at
+    most SCRATCH gathered values and SCRATCH counts, or one row."""
+    pr = table.params
+    p, pm = pr.p, pr.codomain_size
+    chunk = max(1, _util.SCRATCH // max(xs.size, pm))
     vals = table.values
-    xs = np.arange(pn, dtype=np.min_scalar_type(pn - 1))
+    f_xs = vals.take(xs)
     offsets = np.arange(chunk, dtype=np.int64)[:, None] * pm
-    for lo in range(1, pn, chunk):
-        hi = min(lo + chunk, pn)
+    for lo in range(first, stop, chunk):
+        hi = min(lo + chunk, stop)
         cs = np.arange(lo, hi, dtype=xs.dtype)[:, None]
-        shifted = vals.take(vec_sub_arrays(xs, cs, p, n))
-        # row k of the chunk counts into bins k * p^m ... (k + 1) * p^m - 1
-        key = vec_sub_arrays(vals, shifted, p, m).astype(np.int64)
+        shifted = vals.take(vec_sub_arrays(xs, cs, p, pr.n))
+        # row k of the block counts into bins k * p^m ... (k + 1) * p^m - 1
+        key = vec_sub_arrays(f_xs, shifted, p, pr.m).astype(np.int64)
         key += offsets[: hi - lo]
         rows = np.bincount(key.reshape(-1), minlength=(hi - lo) * pm)
-        yield from zip(range(lo, hi), rows.reshape(hi - lo, pm))
+        yield lo, rows.reshape(hi - lo, pm)
 
 
 def _spectral_route(n: int, m: int) -> bool:
@@ -111,35 +121,24 @@ def _half_index(n: int, t: int) -> np.ndarray:
 
 
 def _half_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
-    """p = 2 rows from half the domain.  Exactly one of x and x ^ c has
+    """p = 2 blocks from half the domain.  Exactly one of x and x ^ c has
     bit t, c's top set bit, clear, so row c is twice the count over those
-    x.  The rows with top bit t share one half index and F at it, and no
-    block crosses a top bit; the first row of each is recounted."""
-    pr = table.params
-    n, pm = pr.n, pr.codomain_size
-    chunk = max(1, _util.SCRATCH // max(1 << (n - 1), pm))
-    vals = table.values
-    offsets = np.arange(chunk, dtype=np.int64)[:, None] * pm
+    x.  The rows with top bit t are one call of the counted kernel over one
+    half index, so no block crosses a top bit; the first row of each is
+    recounted."""
+    n = table.params.n
     for t in range(n):
-        half = _half_index(n, t)
-        f_half = vals.take(half)
-        for lo in range(1 << t, 2 << t, chunk):
-            hi = min(lo + chunk, 2 << t)
-            cs = np.arange(lo, hi, dtype=half.dtype)[:, None]
-            # row k of the block counts into bins k * 2^m ... (k + 1) * 2^m - 1
-            key = (vals.take(half ^ cs) ^ f_half).astype(np.int64)
-            key += offsets[: hi - lo]
-            rows = np.bincount(key.reshape(-1), minlength=(hi - lo) * pm).reshape(hi - lo, pm)
+        for lo, rows in _counted_rows(table, _half_index(n, t), 1 << t, 2 << t):
             rows <<= 1
             if lo == 1 << t:
-                _recount(vals, lo, rows[0])
-            yield from zip(range(lo, hi), rows)
+                _recount(table.values, lo, rows[0])
+            yield lo, rows
 
 
 def _spectral_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
-    """p = 2 rows from the spectrum.  With A_b(c) = sum_x (-1)^(b.D_cF(x)),
-    the transform of W(b, .)^2 along a is 2^n A_b(c), and the transform of
-    that along b is 2^(n+m) DDT(c, d).  Every value, partial sums included,
+    """p = 2 blocks, c = 0 included, from the spectrum.  With
+    A_b(c) = sum_x (-1)^(b.D_cF(x)), the transform of W(b, .)^2 along a is
+    2^n A_b(c), and the transform of that along b is 2^(n+m) DDT(c, d).  Every value, partial sums included,
     is at most 2^(2n+m) in magnitude and is held in signed_dtype of that.
     A set bit below n + m is a transform fault and bit n + m an odd entry.
     The transforms are called through the walsh module, whose names count
@@ -164,8 +163,7 @@ def _spectral_rows(table: FuncTable) -> Iterator[tuple[int, np.ndarray]]:
         rows >>= n + m
         rows = rows.astype(np.int64, copy=False)
         _recount(table.values, hi - 1, rows[-1])
-        first = max(lo, 1)
-        yield from zip(range(first, hi), rows[first - lo :])
+        yield lo, rows
 
 
 def apn_shape(params: DomainParams) -> bool:
@@ -191,18 +189,15 @@ def diff_summary(table: FuncTable) -> DiffSummary:
     # its maximum (the row is uniform) and every row maximum equals delta
     lowest = pn
     uniform = True
-    for c, row in ddt_rows(table):
-        # nonnegative entries totalling p^n < 2^62, so int64 cannot overflow
-        total = int(row.sum(dtype=np.int64))
-        if total != pn:
-            raise InternalCheckError(f"DDT row {c} sums to {total}, expected {pn}")
+    for _, row in ddt_rows(table):
         m = int(row.max())
         delta = max(delta, m)
         lowest = min(lowest, m)
         if uniform and lowest == delta:
-            # the entries are nonnegative and total pn, so the nonzero ones
-            # all equal m exactly when there are pn / m of them; once the row
-            # maxima differ the answer is None and no row needs counting
+            # the entries are nonnegative and ddt_rows checks that they
+            # total pn, so the nonzero ones all equal m exactly when there
+            # are pn / m of them; once the row maxima differ the answer is
+            # None and no row needs counting
             uniform = int(np.count_nonzero(row)) * m == pn
     two_valued = delta if uniform and lowest == delta else None
     apn = (delta <= 2) if apn_shape(pr) else None

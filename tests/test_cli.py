@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib.metadata
 import io
@@ -231,41 +232,33 @@ def test_withheld_ddt_csv_is_listed_when_a_check_fails(tmp_path, capsys):
     assert not dest.exists()
 
 
-@pytest.mark.parametrize("flag", ["-o", "--ddt-full"])
+@pytest.mark.parametrize("command", ["-o", "--ddt-full", "check-theorem", "construct", "spectrum"])
 @pytest.mark.parametrize("where", ["missing", "under-a-file", "directory"])
 def test_unwritable_output_fails_before_the_analysis(cube_file, tmp_path, capsys, monkeypatch,
-                                                     flag, where):
-    """A report or CSV path in a missing directory, under a file, or naming a
-    directory exits 2 with one error line before run_analysis is called, and
-    creates no file."""
+                                                     command, where):
+    """An analyze report or CSV path, or the -o of check-theorem, construct
+    or spectrum, in a missing directory, under a file, or naming a directory
+    exits 2 with one error line before any work is called, and creates no
+    file."""
     calls = []
-    monkeypatch.setattr(cli, "run_analysis", lambda *args: calls.append(args))
+    for name in ("run_analysis", "run_check", "monomial", "spectrum_rows"):
+        monkeypatch.setattr(cli, name, lambda *args, **kw: calls.append(args))
     dest = {
         "missing": tmp_path / "no-such-dir" / "out",
         "under-a-file": Path(cube_file) / "out",
         "directory": tmp_path,
     }[where]
+    argv = {
+        "check-theorem": ["check-theorem", "--paper-ref", "platdto1", cube_file, "-o"],
+        "construct": ["construct", "monomial", "p=2", "n=4", "d=3", "-o"],
+        "spectrum": ["spectrum", cube_file, "-o"],
+    }.get(command, ["analyze", cube_file, "--all", command])
     before = sorted(tmp_path.rglob("*"))
-    code, out, err = run(capsys, "analyze", cube_file, "--all", flag, str(dest))
+    code, out, err = run(capsys, *argv, str(dest))
     assert (code, out) == (2, "")
     assert err.startswith("error: [Errno") and err.count("\n") == 1
     assert calls == []
     assert sorted(tmp_path.rglob("*")) == before
-
-
-@pytest.mark.parametrize("where", ["missing", "directory"])
-def test_check_theorem_unwritable_output_fails_before_the_check(cube_file, tmp_path, capsys,
-                                                                monkeypatch, where):
-    """check-theorem with a verdict path in a missing directory or naming a
-    directory exits 2 with one error line after 0 run_check calls."""
-    calls = []
-    monkeypatch.setattr(cli, "run_check", lambda *args: calls.append(args))
-    dest = {"missing": tmp_path / "no-such-dir" / "v.json", "directory": tmp_path}[where]
-    code, out, err = run(capsys, "check-theorem", "--paper-ref", "platdto1", cube_file,
-                         "-o", str(dest))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: [Errno") and err.count("\n") == 1
-    assert calls == []
 
 
 def test_analyze_rejects_header_larger_than_file(tmp_path, capsys):
@@ -720,6 +713,22 @@ def test_p2_fork_count_does_not_grow():
         if re.search(r"p == 2|p != 2", line)
     ]
     assert len(forks) <= 16
+
+
+def test_difference_rows_have_one_counted_kernel():
+    """In differential.py only _counted_rows subtracts with vec_sub_arrays,
+    and only it and the direct recount, _recount, count with np.bincount."""
+    path = Path(plateau.__file__).parent / "differential.py"
+    callers = {"bincount": set(), "vec_sub_arrays": set()}
+    for fn in ast.parse(path.read_text()).body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in callers:
+                        callers[name].add(fn.name)
+    assert callers == {"bincount": {"_counted_rows", "_recount"},
+                       "vec_sub_arrays": {"_counted_rows"}}
 
 
 def test_as_dict_only_on_amplitude_profile():

@@ -206,6 +206,52 @@ def test_half_route_recount_catches_a_wrong_half_index(monkeypatch):
     assert seen == list(range(1, 32))
 
 
+def spill_into_the_next_row(monkeypatch, m):
+    """Make row 1 of every block of three or more rows count one difference
+    as p^m, one bin past its last, so the count lands in bin 0 of row 2.
+    Only the value differences, vec_sub_arrays at length m, are changed, so
+    the tables must have n != m."""
+    right = differential.vec_sub_arrays
+
+    def spilled(us, vs, p, length):
+        out = right(us, vs, p, length)
+        if length == m and out.shape[0] >= 3:
+            out = out.astype(np.int64)
+            out[1, 0] = p**m
+        return out
+
+    monkeypatch.setattr(differential, "vec_sub_arrays", spilled)
+
+
+@pytest.mark.parametrize(
+    "p, n, m, c, total",
+    [
+        # odd p: one block of all 80 rows
+        (3, 4, 2, 2, 80),
+        # the half route: top bit 2 is one block, rows 4..7; row 4 is recounted
+        (2, 8, 6, 5, 254),
+    ],
+)
+def test_row_sum_check_catches_a_count_in_the_next_row(monkeypatch, p, n, m, c, total):
+    """A count spilled from a row that is not the last of its block keeps
+    the block's total and every row's length; the block's row sums do not."""
+    tbl = random_table(p, n, m, 71)
+    assert not (p == 2 and _spectral_route(n, m))
+    spill_into_the_next_row(monkeypatch, m)
+    with pytest.raises(InternalCheckError, match=f"DDT row {c} sums to {total}, expected {p**n}"):
+        for _ in ddt_rows(tbl):
+            pass
+
+
+def test_fourth_moment_reads_sum_checked_rows(monkeypatch):
+    """At (3, 7, 6), p^(n+m) = 3^13 is past the 2^20 spectral cross-check,
+    so only the row sums stand between a spilled count and a wrong moment."""
+    tbl = random_table(3, 7, 6, 72)
+    spill_into_the_next_row(monkeypatch, 6)
+    with pytest.raises(InternalCheckError, match="DDT row 2 sums to 2186, expected 2187"):
+        fourth_moment(tbl)
+
+
 @pytest.mark.parametrize(
     "delta, match",
     [

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -347,7 +348,10 @@ def _budget_log(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in it between calls."""
     top = argparse.ArgumentParser(
         prog="plateau",
         description="Exact spectral and distribution analysis of functions F_p^n -> F_p^m.",

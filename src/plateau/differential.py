@@ -9,7 +9,9 @@ their memory bounds and the checks are in its docstring).  The fourth moment
 of the Walsh spectrum is computed on the differential side, p^(n+m) * sum
 of squared difference-map fiber sizes, which equals the spectral sum over
 all (b, a); the spectral side is recomputed directly as a cross-check
-whenever the table is small enough.
+whenever the table is small enough: at odd p as one Gram matrix of every
+row's |W|^2 coefficients (walsh.fourth_power_sum), at p = 2 from squared
+slices of batched sign rows.
 """
 
 from __future__ import annotations
@@ -233,20 +235,20 @@ def _walsh_fourth_sum_all(table: FuncTable) -> int:
     """Direct spectral sum of |W(b,a)|^4 over every (b, a); cross-check path.
 
     A single row's sum can be irrational at p >= 5; only the sum over every b
-    is a rational integer, so the rows' basis coordinates are summed first and
-    an irrational total raises InternalCheckError.
+    is a rational integer, so the rows' sums are accumulated first (one Gram
+    matrix at odd p, basis coordinates at p = 2) and an irrational total
+    raises InternalCheckError.
     """
     pr = table.params
     pm = pr.codomain_size
-    if pr.p == 2:
-        step = max(1, _util.ROWS_SCRATCH // pr.domain_size)
-        batches = (np.arange(lo, min(lo + step, pm), dtype=np.int64) for lo in range(0, pm, step))
-        vecs = (WalshVector(2, pr.n, walsh_rows_signs_p2(table, bs).reshape(-1)) for bs in batches)
-    else:
-        vecs = (walsh_row(table, b) for b in range(pm))
+    if pr.p != 2:
+        return walsh.fourth_power_sum((walsh_row(table, b) for b in range(pm)), pm)
+    step = max(1, _util.ROWS_SCRATCH // pr.domain_size)
+    batches = (np.arange(lo, min(lo + step, pm), dtype=np.int64) for lo in range(0, pm, step))
+    vecs = (WalshVector(2, pr.n, walsh_rows_signs_p2(table, bs).reshape(-1)) for bs in batches)
     # |W|^2 is real, so the squared moduli of |W|^2 are |W|^4
     fourth = (sq.sq_moduli() for vec in vecs for sq in vec.sq_slices())
-    return rational_sum(pr.p, fourth, "spectral fourth-moment sum")
+    return rational_sum(2, fourth, "spectral fourth-moment sum")
 
 
 def fourth_moment(table: FuncTable) -> FourthMoment:

@@ -54,9 +54,7 @@ class PreimageDist:
     @cached_property
     def zero_col(self) -> WalshVector:
         """W_F(b, 0) for every b, transformed once and shared; read-only."""
-        col = zero_column(self)
-        col.data.setflags(write=False)
-        return col
+        return zero_column(self)
 
     def shifted_zero_col(self, beta: int) -> WalshVector:
         """W_{F - beta}(b, 0) = zeta^(-<b, beta>) W_F(b, 0) for every b."""

@@ -11,9 +11,10 @@ So balance is read off the row at a = 0, in exact arithmetic.
 One classifier, _classify_rows, serves every p: one two-valued test, one
 power-of-p test (a cached table of the powers below 2^62) and one Parseval
 guard over a block of rows.  The only p split is the row source: |W| from
-walsh_rows_signs_p2 at p = 2; at odd p the rational |W|^2 of one walsh_row
-per mask, 0 where irrational.  _util.ROWS_SCRATCH, never the worker count,
-sizes the blocks.
+walsh_rows_signs_p2 at p = 2; at odd p one walsh_row per mask, the block's
+rows squared together by walsh.sq_integers into their rational |W|^2, 0
+where irrational, with balance read off |W(b, 0)|^2.  _util.ROWS_SCRATCH,
+never the worker count, sizes the blocks.
 
 Every named check returns a CheckResult instead of assuming its hypotheses:
 hypothesis mismatches are "skipped", violated conclusions are "fail" with the
@@ -40,7 +41,7 @@ from .distribution import PreimageDist, preimage_distribution
 from .domain import DomainParams, FuncTable
 from .errors import BudgetError, InternalCheckError
 from .verdict import CheckResult, combine, render
-from .walsh import walsh_row, walsh_rows_signs_p2, zero_column
+from .walsh import sq_integers, walsh_row, walsh_rows_signs_p2, zero_column
 
 if TYPE_CHECKING:
     from .report import Analysis
@@ -212,16 +213,9 @@ def component_profile(table: FuncTable, threads: Optional[int] = None) -> Amplit
             workers = 1
 
         def rows(bs: np.ndarray) -> tuple:
-            # row by row: one row's squared moduli at a time, never a group's
-            sq = np.empty((bs.size, pn), dtype=np.int64)
-            rational = np.empty(bs.size, dtype=bool)
-            balanced = np.empty(bs.size, dtype=bool)
-            for i, b in enumerate(bs.tolist()):
-                row = walsh_row(table, b)
-                rat, sq[i] = row.sq_moduli().integers()
-                rational[i] = rat.all()
-                balanced[i] = not row.basis_coords()[0].any()
-            return sq, 1, rational, balanced
+            rational, sq = sq_integers((walsh_row(table, b) for b in bs.tolist()), bs.size)
+            # W(b, 0) = 0 exactly when |W(b, 0)|^2 is the rational 0
+            return sq, 1, rational.all(axis=1), rational[:, 0] & (sq[:, 0] == 0)
 
     # masks per batch: fixed, so output never depends on the worker count
     step = min(width, max(1, _util.ROWS_SCRATCH // pn))

@@ -16,7 +16,9 @@ counts in that dtype, so the zero column is transformed without a cast.
 Component values <b, F(x)> come from FuncTable.components.  Squared moduli
 are widened to int64, or to Python ints past _util.fits_int64; odd-p
 squared-modulus coefficients are at most p^(2n+1), which _guard_int64 holds
-to fits_int64.
+to fits_int64.  Odd-p squared moduli come from one column-wise kernel,
+_sq_mod_half, which computes only S_0 ... S_(p//2) of the coefficients S_k
+of |W|^2, since S_(p-k) = S_k.
 
 The p = 2 transform (fwht_last_axis) runs every stage that fits in a block
 of 4 * _util.SCRATCH entries block by block, then the longer stages in
@@ -34,7 +36,11 @@ takes are sized by _util.SCRATCH.
 Rows and the zero column are returned as WalshVector, the one type that
 knows this layout and the p = 2 / odd-p split: callers ask it for basis
 coordinates, rational integers, squared moduli and exact sums of squared
-moduli, and never index its storage.
+moduli, and never index its storage.  Batches of odd-p rows are squared by
+the module functions that read the layout besides the class: _sq_halves
+stacks a batch's coefficient columns, SCRATCH coefficients at a time, for
+sq_integers (the profile's rational |W|^2 and balance) and fourth_power_sum
+(the fourth moment's spectral side, one (p, p) Gram matrix folded once).
 
 The zero column W_F(b, 0) over all b depends only on the value distribution
 and is computed as the length-p^m transform of the preimage count vector,
@@ -48,6 +54,7 @@ tests/oracles.py (walsh_counts), which shares no code with this module.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -70,8 +77,10 @@ if TYPE_CHECKING:
 _SHORT_STRIDE = 8
 
 
+@functools.lru_cache(maxsize=64)
 def signed_dtype(bound: int) -> np.dtype:
-    """Narrowest of int16, int32, int64 holding magnitudes up to `bound`."""
+    """Narrowest of int16, int32, int64 holding magnitudes up to `bound`;
+    cached, since every spectrum row asks for its dtype."""
     for dt in map(np.dtype, (np.int16, np.int32, np.int64)):
         if bound <= np.iinfo(dt).max:
             return dt
@@ -237,19 +246,32 @@ def dft_p_axes(mat: np.ndarray, p: int, axes: int, sign: int) -> np.ndarray:
     return flat.reshape(-1, p)
 
 
+def _sq_mod_half(cols: np.ndarray, out: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """Squared-modulus coefficients S_0 ... S_(p//2) of the values whose
+    exponent coefficients are the columns of cols, a C-ordered (p, N) array:
+    row k of out, (p//2 + 1, N), becomes the sum over i of cols[i] *
+    cols[i + k], indices mod p; the rest follow from S_(p-k) = S_k.
+    Column-wise: per k, the product of cols with its rotation by k, in two
+    parts, into prod, a (p, N) buffer, and one reduction along the
+    contiguous columns.  Exact in int64 and on object (Python-int) arrays
+    alike."""
+    p = cols.shape[0]
+    for k in range(p // 2 + 1):
+        np.multiply(cols[: p - k], cols[k:], out=prod[: p - k])
+        np.multiply(cols[p - k :], cols[:k], out=prod[p - k :])
+        np.add.reduce(prod, axis=0, out=out[k])
+    return out
+
+
 def _sq_mod_coeffs(mat: np.ndarray) -> np.ndarray:
     """Coefficient matrix of W * conj(W) per row, in exponent coordinates:
-    entry k is the sum over i of mat[i] * mat[i + k], indices mod p.  One
-    einsum, exact in int64 and on object (Python-int) arrays alike."""
-    return np.einsum("ni,nki->nk", mat, mat[:, _shift_index(mat.shape[1])])
-
-
-@functools.lru_cache(maxsize=None)
-def _shift_index(p: int) -> np.ndarray:
-    """idx[k, i] = (i + k) % p."""
-    idx = np.add.outer(np.arange(p), np.arange(p)) % p
-    idx.setflags(write=False)
-    return idx
+    entry k is the sum over i of mat[i] * mat[i + k], indices mod p.  Taken
+    from _sq_mod_half on a transposed copy; the result is its transpose, an
+    (N, p) view."""
+    n, p = mat.shape
+    cols = np.ascontiguousarray(mat.T)
+    half = _sq_mod_half(cols, np.empty((p // 2 + 1, n), dtype=mat.dtype), np.empty_like(cols))
+    return half[np.minimum(np.arange(p), p - np.arange(p))].T
 
 
 def _guard_int64(p: int, n: int) -> None:
@@ -267,10 +289,11 @@ class WalshVector:
     Every value is a sum of p^n p-th roots of unity (|W|^2 of a vector at n
     is one at 2n).  The storage layout is private to this class: a 1-D
     integer array at p = 2, an (N, p) matrix of exponent coefficients for
-    odd p.  Only basis_coords, sq_moduli and rotated read it; integers and
-    the exact sums work on the basis coordinates.  Squares and squared
-    moduli stay in int64 while _fits_int64 says so and switch to Python ints
-    (object arrays) beyond.
+    odd p.  Only basis_coords, sq_moduli, rotated and __len__ read it, and
+    outside the class only _sq_halves, which squares batches of rows;
+    integers and the exact sums work on the basis coordinates.  Squares and
+    squared moduli stay in int64 while _fits_int64 says so and switch to
+    Python ints (object arrays) beyond.
     """
 
     __slots__ = ("p", "n", "data")
@@ -346,13 +369,94 @@ def _exact_coords(p: int, vecs: Iterable[WalshVector]) -> list[int]:
     return sums
 
 
-def rational_sum(p: int, vecs: Iterable[WalshVector], what: str) -> int:
-    """The sum of every entry of every vector, exact; InternalCheckError,
-    naming `what`, when it is not a rational integer."""
-    coords = _exact_coords(p, vecs)
+def _rational(coords: list[int], what: str) -> int:
+    """The rational integer with these basis coordinates; InternalCheckError,
+    naming `what`, when they are not those of one."""
     if any(coords[1:]):
         raise InternalCheckError(f"{what} is not a rational integer: basis coordinates {coords}")
     return coords[0]
+
+
+def rational_sum(p: int, vecs: Iterable[WalshVector], what: str) -> int:
+    """The sum of every entry of every vector, exact; InternalCheckError,
+    naming `what`, when it is not a rational integer."""
+    return _rational(_exact_coords(p, vecs), what)
+
+
+def _sq_halves(rows: Iterable[WalshVector]) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """_sq_mod_half of odd-p rows of one length N, at most _util.SCRATCH
+    coefficients at a time: yields (rs, es, half), half holding S_0 ...
+    S_(p//2) of entries es of rows rs, row by row along its columns, valid
+    until the next slice.  A slice spans max(1, SCRATCH // (N p)) whole
+    rows, or SCRATCH // p entries of one row when a row is longer.  Rows
+    are read lazily, one slice's at a time.  Their coefficients, at most
+    p^n, are widened to int64, which _guard_int64 makes hold their squares.
+    The three int64 buffers, the columns, the product and the half, are
+    allocated once per call: fresh ones per slice can cost page faults."""
+    rows = iter(rows)
+    lo = 0
+    for first in rows:
+        p, size = first.p, len(first)
+        group = [first, *itertools.islice(rows, max(0, _util.SCRATCH // (size * p) - 1))]
+        if lo == 0:
+            cap = max(1, min(size * len(group), _util.SCRATCH // p))
+            cols_buf, prod_buf = np.empty((2, p * cap), dtype=np.int64)
+            half_buf = np.empty((p // 2 + 1) * cap, dtype=np.int64)
+        for e in range(0, size, cap):
+            es = slice(e, min(e + cap, size))
+            width = len(group) * (es.stop - e)
+            cols = cols_buf[: p * width].reshape(p, width)
+            np.concatenate([r.data[es].T for r in group], axis=1, out=cols)
+            half = half_buf[: (p // 2 + 1) * width].reshape(-1, width)
+            _sq_mod_half(cols, half, prod_buf[: p * width].reshape(p, width))
+            yield slice(lo, lo + len(group)), es, half
+        lo += len(group)
+
+
+def sq_integers(rows: Iterable[WalshVector], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rational, ints) of shape (count, N) for `count` odd-p rows of one
+    length N: what each row's sq_moduli().integers() gives, squared slice by
+    slice (_sq_halves).  |W|^2 has basis coordinates S_k - S_(p-1) = S_k -
+    S_1, so it is rational exactly when S_1 = ... = S_(p//2), and then
+    equals S_0 - S_1; ints is 0 where it is not."""
+    rows = iter(rows)
+    first = next(rows)
+    rational = np.empty((count, len(first)), dtype=bool)
+    ints = np.empty((count, len(first)), dtype=np.int64)
+    for rs, es, half in _sq_halves(itertools.chain([first], rows)):
+        shape = (rs.stop - rs.start, es.stop - es.start)
+        np.all((half[2:] == half[1]).reshape(-1, *shape), axis=0, out=rational[rs, es])
+        np.subtract(half[0].reshape(shape), half[1].reshape(shape), out=ints[rs, es])
+        ints[rs, es] *= rational[rs, es]
+    return rational, ints
+
+
+def fourth_power_sum(rows: Iterable[WalshVector], count: int) -> int:
+    """Sum of |W|^4 over every entry of `count` odd-p rows of length p^n,
+    exact, through one Gram matrix.  |W|^4 = |W|^2 conj(|W|^2) has
+    coefficient sum over k - j = e (mod p) of S_j S_k, so the sum is the
+    (p, p) Gram matrix, sum over entries of S_j S_k, folded once by index
+    difference.  Only S_0 ... S_(p//2) are squared (_sq_halves), and
+    S_(p-k) = S_k gives the rest of the Gram.  Bound: an entry has
+    nonnegative S_k summing to (p^n)^2, so S_j S_k <= p^(4n), and a Gram
+    entry is at most count p^(5n) (p^(5n+m) for a whole spectrum); the
+    Gram is accumulated in int64 while fits_int64 holds for that, in Python
+    ints beyond.  A single row's sum can be irrational at p >= 5, so only
+    the total is checked: InternalCheckError when it is not a rational
+    integer."""
+    rows = iter(rows)
+    first = next(rows)
+    p = first.p
+    in_int64 = fits_int64(count * p ** (5 * first.n))
+    gram = np.zeros((p // 2 + 1,) * 2, dtype=np.int64 if in_int64 else object)
+    for _, _, half in _sq_halves(itertools.chain([first], rows)):
+        if not in_int64:
+            half = half.astype(object)
+        gram += half @ half.T
+    g = gram.tolist()
+    mirror = [min(k, p - k) for k in range(p)]
+    coeffs = [sum(g[mirror[j]][mirror[(j + e) % p]] for j in range(p)) for e in range(p)]
+    return _rational([c - coeffs[-1] for c in coeffs[:-1]], "spectral fourth-moment sum")
 
 
 def walsh_row(table: FuncTable, b: int) -> WalshVector:
@@ -363,9 +467,18 @@ def walsh_row(table: FuncTable, b: int) -> WalshVector:
     if p == 2:
         return WalshVector(2, n, _sign_transform(evec, pr.domain_size))
     _guard_int64(p, n)
-    mat = np.zeros((pr.domain_size, p), dtype=signed_dtype(pr.domain_size))
-    mat[np.arange(pr.domain_size), evec] = 1
-    return WalshVector(p, n, dft_p_axes(mat, p, n, sign=-1))
+    flat = np.zeros(pr.domain_size * p, dtype=signed_dtype(pr.domain_size))
+    flat[_row_starts(pr.domain_size, p) + evec] = 1
+    return WalshVector(p, n, dft_p_axes(flat.reshape(-1, p), p, n, sign=-1))
+
+
+@functools.lru_cache(maxsize=8)
+def _row_starts(size: int, p: int) -> np.ndarray:
+    """p * x for x < size: where input x's coefficients begin in a flat
+    (size, p) matrix."""
+    starts = np.arange(0, size * p, p, dtype=np.intp)
+    starts.setflags(write=False)
+    return starts
 
 
 def walsh_rows_signs_p2(table: FuncTable, bs: np.ndarray) -> np.ndarray:
@@ -380,16 +493,20 @@ def zero_column(dist: "PreimageDist") -> WalshVector:
     """W_F(b, 0) for all b from the preimage counts of F: O(m * p^(m+1)).
 
     The transform runs in the counts' own dtype, signed_dtype(p^n) (see the
-    module docstring), so the counts are copied without a cast.
+    module docstring), so the counts are copied without a cast.  The column
+    is read-only, since PreimageDist.zero_col shares it.
     """
     pr = dist.params
     p, n, m = pr.p, pr.n, pr.m
     if p == 2:
-        return WalshVector(2, n, fwht_last_axis(dist.counts.copy()))
-    _guard_int64(p, n)
-    mat = np.zeros((pr.codomain_size, p), dtype=dist.counts.dtype)
-    mat[:, 0] = dist.counts
-    return WalshVector(p, n, dft_p_axes(mat, p, m, sign=+1))
+        col = fwht_last_axis(dist.counts.copy())
+    else:
+        _guard_int64(p, n)
+        mat = np.zeros((pr.codomain_size, p), dtype=dist.counts.dtype)
+        mat[:, 0] = dist.counts
+        col = dft_p_axes(mat, p, m, sign=+1)
+    col.setflags(write=False)
+    return WalshVector(p, n, col)
 
 
 def spectrum_rows(table: FuncTable) -> Iterator[WalshVector]:

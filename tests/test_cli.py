@@ -440,6 +440,25 @@ def test_every_error_path_exits_2_or_3(exit_files, data):
     assert "Traceback" not in err.getvalue()
 
 
+def test_parser_built_once_serves_every_call(cube_file, capsys):
+    """main builds its parser once per process; a usage error after a
+    successful call, and a successful call after a usage error, each give
+    the exit code and output they give alone."""
+    good = ["analyze", cube_file, "--all"]
+    bad = ["analyze", cube_file, "--max-table-log", "-1"]
+
+    def alone(argv):
+        cli._parser.cache_clear()
+        return run(capsys, *argv)
+
+    want = {"good": alone(good), "bad": alone(bad)}
+    assert want["good"][0] == 0 and want["bad"][0] == 2
+    cli._parser.cache_clear()
+    got = [run(capsys, *argv) for argv in (good, bad, good)]
+    assert got == [want["good"], want["bad"], want["good"]]
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_construct_monomial_round_trip(tmp_path, capsys):
     dest = tmp_path / "t.txt"
     code, _, _ = run(capsys, "construct", "monomial", "p=3", "n=2", "d=2", "-o", str(dest))
@@ -713,6 +732,19 @@ def test_p2_fork_count_does_not_grow():
         if re.search(r"p == 2|p != 2", line)
     ]
     assert len(forks) <= 16
+
+
+def test_only_walsh_reads_walsh_vector_storage():
+    """WalshVector's coefficient layout is read in walsh.py alone: no other
+    module of the package reads an attribute named data."""
+    src = Path(plateau.__file__).parent
+    readers = {
+        path.name
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "data"
+    }
+    assert readers == {"walsh.py"}
 
 
 def test_difference_rows_have_one_counted_kernel():

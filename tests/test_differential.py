@@ -10,6 +10,7 @@ import oracles as o
 from plateau import _util, differential, walsh
 from plateau.constructions import monomial
 from plateau.differential import (
+    _diff_sq_sum_all,
     _spectral_route,
     _walsh_fourth_sum_all,
     ddt_rows,
@@ -444,6 +445,65 @@ def test_spectral_fourth_moment_past_the_int64_bound():
     # basis coordinates with a zero top exponent count are exponent counts
     want = o.fourth_power_sum(p, (c + [0] for row in rows for c in row.basis_coords().tolist()))
     assert _walsh_fourth_sum_all(tbl) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gram_fourth_moment_matches_the_oracle(data):
+    """The odd-p spectral side, one Gram matrix of every row's |W|^2
+    coefficients, equals the oracle's sum of |W|^4 accumulated in
+    Z[zeta_p] from the rows' exponent counts, at p^n <= 343 and
+    p^(n+m) <= 7^4."""
+    p = data.draw(st.sampled_from([3, 5, 7]), label="p")
+    n = data.draw(st.integers(1, 5).filter(lambda k: p**k <= 343), label="n")
+    m = data.draw(st.integers(1, 4).filter(lambda k: p ** (n + k) <= 7**4), label="m")
+    tbl = random_table(p, n, m, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = [walsh_row(tbl, b) for b in range(p**m)]
+    # basis coordinates with a zero top exponent count are exponent counts
+    want = o.fourth_power_sum(p, (c + [0] for row in rows for c in row.basis_coords().tolist()))
+    assert _walsh_fourth_sum_all(tbl) == want
+
+
+def test_object_gram_inside_the_cross_check_domain():
+    """At (3, 8, 4) the Gram's bound p^(5n+m) = 3^44 leaves int64, so it
+    is accumulated in Python ints, while p^(n+m) = 3^12 <= 2^20 keeps the
+    table inside fourth_moment's cross-check domain: the two sides agree."""
+    p, n, m = 3, 8, 4
+    assert not _util.fits_int64(p ** (5 * n + m)) and p ** (n + m) <= 1 << 20
+    tbl = random_table(p, n, m, 64)
+    assert _walsh_fourth_sum_all(tbl) == p ** (n + m) * _diff_sq_sum_all(tbl)
+
+
+def test_object_gram_past_int64_totals():
+    """The linear (3, 10, 1) table x0 has one |W| = p^n per row, so its
+    sum of |W|^4 is p^(4n+m) = 3^41, past int64: Gram entries wrapped in
+    int64 would cancel in the fold only while the total fits."""
+    p, n, m = 3, 10, 1
+    tbl = FuncTable(DomainParams(p, n, m), np.arange(p**n) % p)
+    assert _walsh_fourth_sum_all(tbl) == p ** (4 * n + m) > 1 << 63
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 4, 2), (5, 3, 2)])
+def test_fourth_moment_catches_a_moved_coefficient(monkeypatch, p, n, m):
+    """One exponent count of one spectral row moved to the next exponent
+    (the row still sums to p^n) changes the Gram's total, which then
+    disagrees with the differential side or is irrational: both raise."""
+    tbl = random_table(p, n, m, 65)
+
+    def moved(table, b):
+        row = walsh.walsh_row(table, b)
+        if b != 2:
+            return row
+        data = row.data.copy()
+        k = int(data[5].argmax())
+        data[5, k] -= 1
+        data[5, (k + 1) % p] += 1
+        return walsh.WalshVector(row.p, row.n, data)
+
+    fourth_moment(tbl)
+    monkeypatch.setattr(differential, "walsh_row", moved)
+    with pytest.raises(InternalCheckError, match="fourth"):
+        fourth_moment(tbl)
 
 
 def test_sq_total_refuses_an_irrational_row_sum():

@@ -317,6 +317,36 @@ def test_odd_profile_thread_count_invariant(monkeypatch, p, n, m):
     assert one.all_sq_rational == four.all_sq_rational
 
 
+def test_odd_profile_batches_match_row_by_row(monkeypatch):
+    """The 80 masks of a (3, 4, 4) table come in batches of 32, 32 and 16,
+    each squared together by sq_integers; every mask's t, balance and max
+    |W|^2 equal those of its own row classified alone from
+    sq_moduli().integers() and the basis coordinates of W(b, 0).  The
+    table's first output digit is x0 and the rest are random, so the masks
+    b = 1, 2 give balanced components."""
+    p, n = 3, 4
+    rng = np.random.default_rng(66)
+    tbl = FuncTable(DomainParams(p, n, n), np.arange(p**n) % p + p * rng.integers(p**3, size=p**n))
+    counts = []
+
+    def spy(rows, count):
+        counts.append(count)
+        return walsh.sq_integers(rows, count)
+
+    monkeypatch.setattr(plateaued, "sq_integers", spy)
+    got = component_profile(tbl)
+    assert counts == [32, 32, 16]
+    for b in range(1, p**4):
+        row = walsh.walsh_row(tbl, b)
+        rational, sq = row.sq_moduli().integers()
+        balanced = not row.basis_coords()[0].any()
+        t, bal, top, rat = plateaued._classify_rows(
+            p, n, sq[None], 1, np.array([rational.all()]), np.array([balanced])
+        )
+        assert (got.t_values[b], got.balanced_mask[b], got.max_sq[b]) == (t[0], bal[0], top[0])
+    assert got.all_sq_rational and got.balanced_mask[1:3].all()
+
+
 def test_profile_thread_count_invariant(monkeypatch):
     """The 511 masks of a (2, 9, 9) table make two 256-mask batches, so the
     4-thread profile really runs on a pool."""

@@ -435,6 +435,48 @@ def test_sq_moduli_match_cycint(p, n):
     assert coords(got) == want
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_sq_mod_coeffs_match_rotation_sums(data):
+    """The column-wise kernel computes S_0 ... S_(p//2) and mirrors the
+    rest; every coefficient equals sum_i m[i] m[(i + k) mod p], on int64
+    matrices and on object matrices, whose entries up to 2^40 leave int64
+    when multiplied."""
+    p = data.draw(st.sampled_from([3, 5, 7, 11, 13, 43]), label="p")
+    wide = data.draw(st.booleans(), label="object")
+    top = 1 << (40 if wide else 20)
+    row = st.lists(st.integers(0, top), min_size=p, max_size=p)
+    rows = data.draw(st.lists(row, max_size=6), label="rows")
+    mat = np.array(rows, dtype=object if wide else np.int64).reshape(len(rows), p)
+    got = walsh._sq_mod_coeffs(mat)
+    assert got.dtype == mat.dtype
+    assert got.tolist() == [
+        [sum(r[i] * r[(i + k) % p] for i in range(p)) for k in range(p)] for r in rows
+    ]
+
+
+@pytest.mark.parametrize("scratch", [1 << 16, 40, 4])
+def test_batched_squares_match_row_by_row(monkeypatch, scratch):
+    """sq_integers and fourth_power_sum square slice by slice: 25 whole
+    rows of a (5, 3, 2) table (125 entries, many |W|^2 irrational) in one
+    slice at the default scratch, and parts of one row at 40 coefficients
+    and at 4 < p (one entry a slice).  Both equal the row-by-row
+    sq_moduli().integers() and the exact sum of each row's squared moduli
+    of its squared moduli."""
+    tbl = random_table(5, 3, 2, 31)
+    rows = [walsh_row(tbl, b) for b in range(25)]
+    monkeypatch.setattr(_util, "SCRATCH", scratch)
+    rational, ints = walsh.sq_integers(iter(rows), 25)
+    for b, row in enumerate(rows):
+        want_rational, want_ints = row.sq_moduli().integers()
+        assert rational[b].tolist() == want_rational.tolist()
+        assert ints[b].tolist() == want_ints.tolist()
+    assert not rational.all() and rational.any()
+    fourth = (sq.sq_moduli() for row in rows for sq in row.sq_slices())
+    want = walsh.rational_sum(5, fourth, "sum of |W|^4")
+    assert walsh.fourth_power_sum(iter(rows), 25) == want
+
+
 def dft_with_scratch(monkeypatch, p, axes, scratch):
     """dft_p_axes of a random matrix for both signs, at the default scratch
     size and at `scratch`."""
